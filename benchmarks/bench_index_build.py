@@ -2,10 +2,7 @@
 
 Measures, per network scale:
 
-* 2-hop-cover (PLL) construction time — sequential vs parallel
-  (``--workers``), with an entry-for-entry label-identity check between
-  the two builds (the batch schedule is worker-independent, so any
-  difference is a bug, not noise);
+* 2-hop-cover (PLL) construction time (best of ``--repeat`` builds);
 * batched query throughput per kernel — ``dict`` (the legacy per-node
   dict-probing baseline), ``flat-py`` (flat-array store, stdlib dense
   scatter) and ``flat`` (flat-array store, numpy vectorized when
@@ -22,7 +19,7 @@ intentionally not a pytest module — the CI smoke job uses
 ``bench_runtime.py``)::
 
     PYTHONPATH=src python benchmarks/bench_index_build.py \
-        --scale small --workers 1 4 --min-query-speedup 3 --json out.json
+        --scale small --min-query-speedup 3 --json out.json
 """
 
 from __future__ import annotations
@@ -51,29 +48,14 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def bench_build(
-    graph, workers_list: list[int], repeat: int, order_strategy: str
-) -> dict[int, float]:
-    """Best-of-``repeat`` build seconds per worker count, with identity check."""
-    times: dict[int, float] = {}
-    reference = None
-    for workers in workers_list:
-        best = float("inf")
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            pll = PrunedLandmarkLabeling(
-                graph, workers=workers, order_strategy=order_strategy
-            )
-            best = min(best, time.perf_counter() - t0)
-        if reference is None:
-            reference = pll.labels()
-        elif pll.labels() != reference:
-            raise AssertionError(
-                f"workers={workers} produced different labels than "
-                f"workers={workers_list[0]}"
-            )
-        times[workers] = best
-    return times
+def bench_build(graph, repeat: int, order_strategy: str) -> float:
+    """Best-of-``repeat`` build seconds."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        PrunedLandmarkLabeling(graph, order_strategy=order_strategy)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def _sweeps(graph, rounds: int) -> tuple[list, list[list]]:
@@ -152,7 +134,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=sorted(SCALE_CONFIGS),
         default=["tiny", "medium", "large"],
     )
-    parser.add_argument("--workers", type=_positive_int, nargs="+", default=[1, 4])
     parser.add_argument("--repeat", type=_positive_int, default=3)
     parser.add_argument(
         "--order",
@@ -187,14 +168,8 @@ def main(argv: list[str] | None = None) -> int:
             f"\n[{scale}] n={graph.num_nodes} m={graph.num_edges}",
             flush=True,
         )
-        times = bench_build(graph, args.workers, args.repeat, args.order)
-        base = times[args.workers[0]]
-        for workers, seconds in times.items():
-            speedup = base / seconds if seconds else float("inf")
-            print(
-                f"  build workers={workers}: {seconds:.3f}s "
-                f"(x{speedup:.2f} vs workers={args.workers[0]})"
-            )
+        build_s = bench_build(graph, args.repeat, args.order)
+        print(f"  build             : {build_s:.3f}s")
         point_qps, batch_qps = bench_query_kernels(
             graph, QUERY_ROUNDS, args.order
         )
@@ -215,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         scales_report[scale] = {
             "nodes": graph.num_nodes,
             "edges": graph.num_edges,
-            "build_seconds": {str(w): s for w, s in times.items()},
+            "build_seconds": build_s,
             "point_qps": point_qps,
             "batch_qps": dict(batch_qps),
             "flat_vs_dict_speedup": kernel_speedup,

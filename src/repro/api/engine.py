@@ -85,7 +85,6 @@ from ..graph.partition import ShardPlan, plan_shards
 from ..graph.pll import PrunedLandmarkLabeling
 from ..graph.sharded_oracle import ShardedPLLOracle
 from .. import obs
-from ..serving.locks import ReadWriteLock
 from ..storage.codec import (
     EngineSnapshotState,
     OracleEntryState,
@@ -107,6 +106,7 @@ from ..storage.format import (
     write_container,
 )
 from ..storage.store import SnapshotStore, resolve_snapshot_path
+from .locks import ReadWriteLock
 from .messages import TeamRequest, TeamResponse
 from .registry import Solver, SolverRegistry, UnknownSolverError
 from .solvers import DEFAULT_REGISTRY
@@ -133,9 +133,6 @@ class TeamFormationEngine:
     registry:
         The solver registry to dispatch requests through; defaults to
         the built-in seven solvers.
-    index_workers:
-        Worker processes for PLL construction (``None`` = module
-        default, see ``--parallel-index``).
     shards:
         Partition the collaboration graph into this many shards and
         serve every PLL index as a
@@ -162,7 +159,6 @@ class TeamFormationEngine:
         sa_mode: SaMode = "per_skill",
         oracle_kind: str = "pll",
         registry: SolverRegistry | None = None,
-        index_workers: int | None = None,
         shards: int | None = None,
         max_cached_oracles: int = 16,
         max_cached_finders: int = 128,
@@ -181,7 +177,6 @@ class TeamFormationEngine:
         self.sa_mode: SaMode = sa_mode
         self.oracle_kind = oracle_kind
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
-        self._index_workers = index_workers
         self._max_cached_oracles = max_cached_oracles
         self._max_cached_finders = max_cached_finders
         # Entries carry the graph next to its oracle so a finder
@@ -541,9 +536,7 @@ class TeamFormationEngine:
             # topology as the raw graph at this version, so the plan —
             # and its hash — match the one the key was tagged with).
             plan = plan_shards(graph, base[-1][1])
-        return graph, build_oracle(
-            graph, base[0], workers=self._index_workers, shard_plan=plan
-        )
+        return graph, build_oracle(graph, base[0], shard_plan=plan)
 
     def _derive_graph(self, base: tuple, network: ExpertNetwork) -> Graph:
         """The derived graph ``base`` indexes, built over ``network``.
@@ -864,7 +857,6 @@ class TeamFormationEngine:
         *,
         network: ExpertNetwork | None = None,
         registry: SolverRegistry | None = None,
-        index_workers: int | None = None,
         max_cached_oracles: int = 16,
         max_cached_finders: int = 128,
     ) -> "TeamFormationEngine":
@@ -900,7 +892,6 @@ class TeamFormationEngine:
             state,
             network=network,
             registry=registry,
-            index_workers=index_workers,
             max_cached_oracles=max_cached_oracles,
             max_cached_finders=max_cached_finders,
         )
@@ -912,7 +903,6 @@ class TeamFormationEngine:
         *,
         network: ExpertNetwork | None = None,
         registry: SolverRegistry | None = None,
-        index_workers: int | None = None,
         max_cached_oracles: int = 16,
         max_cached_finders: int = 128,
     ) -> "TeamFormationEngine":
@@ -929,7 +919,6 @@ class TeamFormationEngine:
             state,
             network=network,
             registry=registry,
-            index_workers=index_workers,
             max_cached_oracles=max_cached_oracles,
             max_cached_finders=max_cached_finders,
         )
@@ -941,7 +930,6 @@ class TeamFormationEngine:
         *,
         network: ExpertNetwork | None,
         registry: SolverRegistry | None,
-        index_workers: int | None,
         max_cached_oracles: int,
         max_cached_finders: int,
     ) -> "TeamFormationEngine":
@@ -991,7 +979,6 @@ class TeamFormationEngine:
             sa_mode=state.sa_mode,  # type: ignore[arg-type]
             oracle_kind=state.oracle_kind,
             registry=registry,
-            index_workers=index_workers,
             max_cached_oracles=max_cached_oracles,
             max_cached_finders=max_cached_finders,
             shards=state.shards,
@@ -1022,14 +1009,11 @@ class TeamFormationEngine:
                 cache[(*entry.base, entry.version)] = (graph, oracle)
                 continue
             try:
-                if "counts" in entry.labels:
-                    # Flat snapshot columns are adopted as the live
-                    # query representation — no per-entry inflation.
-                    oracle = PrunedLandmarkLabeling.from_flat_labels(
-                        graph, entry.labels
-                    )
-                else:  # legacy per-node-list state
-                    oracle = PrunedLandmarkLabeling.from_labels(graph, entry.labels)
+                # Flat snapshot columns are adopted as the live query
+                # representation — no per-entry inflation.
+                oracle = PrunedLandmarkLabeling.from_flat_labels(
+                    graph, entry.labels
+                )
             except GraphError as exc:
                 raise CorruptSnapshotError(
                     f"oracle entry {entry.base!r}: {exc}"

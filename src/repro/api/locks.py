@@ -1,4 +1,4 @@
-"""Synchronization primitives for the concurrent serving layer.
+"""Synchronization primitives for the thread-safe engine.
 
 The engine's concurrency contract has two tiers of exclusion:
 

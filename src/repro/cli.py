@@ -61,7 +61,6 @@ from .eval.experiments import (
     run_runtime,
 )
 from .eval.workload import SCALE_CONFIGS, benchmark_corpus, benchmark_network
-from .graph.distance import set_default_index_workers
 from .storage import SnapshotError, SnapshotStore
 
 __all__ = ["main", "build_parser"]
@@ -102,14 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="corpus seed")
     parser.add_argument("--gamma", type=float, default=0.6)
     parser.add_argument("--lam", type=float, default=0.6)
-    parser.add_argument(
-        "--parallel-index",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="worker processes for 2-hop-cover index construction "
-        "(default: 1; the index is identical for any N)",
-    )
     parser.add_argument(
         "--list-solvers",
         action=_ListSolversAction,
@@ -365,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point: run one experiment and print its table."""
     args = build_parser().parse_args(argv)
-    set_default_index_workers(args.parallel_index)
     if args.experiment == "snapshot":
         return _run_snapshot(args)
     if args.experiment == "serve":

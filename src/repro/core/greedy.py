@@ -78,9 +78,6 @@ class GreedyTeamFinder:
         Tradeoff parameters of Definitions 4 and 6.
     oracle_kind:
         ``"pll"`` (2-hop cover, the paper's choice) or ``"dijkstra"``.
-    index_workers:
-        Worker processes for PLL index construction (``None`` uses the
-        module default, settable via the CLI's ``--parallel-index``).
     batch_queries:
         When true (default), each (root, skill) sweep issues one batched
         ``distances_from`` call instead of per-candidate point lookups.
@@ -107,7 +104,6 @@ class GreedyTeamFinder:
         sa_mode: SaMode = "per_skill",
         oracle: DistanceOracle | None = None,
         search_graph: Graph | None = None,
-        index_workers: int | None = None,
         batch_queries: bool = True,
     ) -> None:
         if objective not in OBJECTIVES:
@@ -133,9 +129,7 @@ class GreedyTeamFinder:
         self._oracle: DistanceOracle = (
             oracle
             if oracle is not None
-            else build_oracle(
-                self._search_graph, oracle_kind, workers=index_workers
-            )
+            else build_oracle(self._search_graph, oracle_kind)
         )
         self._batch_queries = batch_queries and hasattr(
             self._oracle, "distances_from"

@@ -7,7 +7,6 @@ algorithms in :mod:`repro.core` are built on.
 
 from .adjacency import Graph, GraphError, Node
 from .articulation import articulation_points, bridges
-from .bidirectional import bidirectional_dijkstra
 from .centrality import betweenness_centrality
 from .components import (
     bfs_order,
@@ -24,13 +23,7 @@ from .dijkstra import (
     shortest_path,
     shortest_path_length,
 )
-from .distance import (
-    DijkstraOracle,
-    DistanceOracle,
-    build_oracle,
-    get_default_index_workers,
-    set_default_index_workers,
-)
+from .distance import DijkstraOracle, DistanceOracle, build_oracle
 from .generators import (
     assign_random_weights,
     barabasi_albert,
@@ -56,7 +49,6 @@ from .steiner import (
     mst_steiner_tree,
 )
 from .unionfind import UnionFind
-from .yen import k_shortest_paths
 
 __all__ = [
     "Graph",
@@ -65,7 +57,6 @@ __all__ = [
     "betweenness_centrality",
     "articulation_points",
     "bridges",
-    "bidirectional_dijkstra",
     "bfs_order",
     "connected_components",
     "is_connected",
@@ -80,8 +71,6 @@ __all__ = [
     "DistanceOracle",
     "DijkstraOracle",
     "build_oracle",
-    "get_default_index_workers",
-    "set_default_index_workers",
     "PrunedLandmarkLabeling",
     "pll_build_count",
     "approximate_average_distance",
@@ -102,5 +91,4 @@ __all__ = [
     "dreyfus_wagner",
     "MAX_DW_TERMINALS",
     "UnionFind",
-    "k_shortest_paths",
 ]

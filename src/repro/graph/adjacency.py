@@ -131,7 +131,7 @@ class Graph:
     def adjacency(self) -> dict[Node, dict[Node, float]]:
         """The full ``node -> {neighbor: weight}`` mapping (do not mutate).
 
-        Exposed for tight loops (index construction, worker processes)
+        Exposed for tight loops (index construction, shortest paths)
         that would otherwise pay one :meth:`neighbors` call per visit.
         """
         return self._adj

@@ -8,9 +8,8 @@ implementations are provided:
   Dijkstra per distinct source.  Best for one-off queries and small
   graphs.
 * :class:`repro.graph.pll.PrunedLandmarkLabeling` — the paper's 2-hop
-  cover; pays an indexing cost once (optionally across several worker
-  processes, see ``workers``), then answers each query from two sorted
-  label arrays.
+  cover; pays an indexing cost once, then answers each query from two
+  sorted label arrays.
 
 Both satisfy :class:`DistanceOracle`, including its *batch* entry points
 ``distances_from`` / ``distances_many``: the greedy root sweep issues one
@@ -49,33 +48,7 @@ __all__ = [
     "DistanceOracle",
     "DijkstraOracle",
     "build_oracle",
-    "get_default_index_workers",
-    "set_default_index_workers",
 ]
-
-#: Process count used by :func:`build_oracle` when the caller does not
-#: pass ``workers`` explicitly; set once from the CLI's
-#: ``--parallel-index`` flag (see :func:`set_default_index_workers`).
-_default_index_workers = 1
-
-
-def set_default_index_workers(workers: int) -> None:
-    """Set the process count future :func:`build_oracle` calls default to.
-
-    The CLI exposes this as ``--parallel-index N``; library callers that
-    construct finders deep inside experiment runners inherit the setting
-    without threading a parameter through every layer.
-    """
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    global _default_index_workers
-    _default_index_workers = workers
-
-
-def get_default_index_workers() -> int:
-    """Current default process count for index construction."""
-    return _default_index_workers
-
 
 @runtime_checkable
 class DistanceOracle(Protocol):
@@ -209,15 +182,9 @@ def build_oracle(
     graph: Graph,
     kind: str = "pll",
     *,
-    workers: int | None = None,
     shard_plan=None,
 ) -> DistanceOracle:
     """Factory: ``"pll"`` (paper's index) or ``"dijkstra"`` (lazy).
-
-    ``workers`` controls how many processes the PLL build fans out to;
-    ``None`` uses the module default (see
-    :func:`set_default_index_workers`).  The resulting labels do not
-    depend on the worker count.
 
     ``shard_plan`` (a :class:`~repro.graph.partition.ShardPlan`) turns
     the ``"pll"`` kind into a
@@ -241,15 +208,12 @@ def build_oracle(
         attrs["shards"] = shard_plan.num_shards
     with obs.span("oracle.build", **attrs):
         if kind == "pll":
-            effective = _default_index_workers if workers is None else workers
             if shard_plan is not None:
                 from .sharded_oracle import ShardedPLLOracle
 
-                oracle: DistanceOracle = ShardedPLLOracle(
-                    graph, shard_plan, workers=effective
-                )
+                oracle: DistanceOracle = ShardedPLLOracle(graph, shard_plan)
             else:
-                oracle = PrunedLandmarkLabeling(graph, workers=effective)
+                oracle = PrunedLandmarkLabeling(graph)
         else:
             oracle = DijkstraOracle(graph)
     registry.counter(f"oracle_builds_{kind}").inc()

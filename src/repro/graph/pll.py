@@ -22,35 +22,21 @@ Batch-synchronous construction
 
 Landmarks are processed in rank-order *batches* (sizes 1, 2, 4, ...
 capped at :data:`MAX_BATCH`).  Every search in a batch prunes against
-the label snapshot from *before* the batch, so the searches are pure
-functions of ``(graph, snapshot, landmark)`` and independent of each
-other.  A sequential merge pass then commits each batch's results in
-rank order, dropping any entry already certified by an earlier
-same-batch landmark (the in-search prune already handled all earlier
-batches, so this *tail filter* only scans label entries added within the
-current batch).
+the label snapshot from *before* the batch; a merge pass then commits
+each batch's results in rank order, dropping any entry already
+certified by an earlier same-batch landmark (the in-search prune
+already handled all earlier batches, so this *tail filter* only scans
+label entries added within the current batch).
 
-Two properties follow:
-
-* **Determinism** — the batch schedule depends only on the node count
-  (never on ``workers``), so the labels are bit-identical whether the
-  batch runs on 1 worker, N worker processes, or inline.  This is what
-  the parallel-vs-sequential equivalence tests assert.
-* **Exactness** — pruning against a *subset* of the up-to-date index is
-  still a genuine certificate, so the classic PLL cover argument goes
-  through unchanged: for any pair the maximum-rank vertex on a shortest
-  path labels both endpoints with exact distances.  Weaker intra-batch
-  pruning can only add (correct) extra entries, most of which the tail
-  filter removes.  ``batch_size=1`` reproduces the classic fully
-  sequential algorithm exactly.
-
-With ``workers > 1`` the batch searches are fanned out to long-lived
-``multiprocessing`` worker processes.  Workers keep their own copy of
-the label store and receive, with each batch, the *delta* of entries the
-merge pass committed for the previous batch — so per-batch traffic is
-proportional to the new labels, not the whole index.  Construction falls
-back to the in-process executor for tiny graphs or when worker processes
-cannot be spawned; the resulting labels are identical either way.
+Construction runs in one process.  The batch schedule is kept because
+it fixes the label bytes that every existing snapshot and canonical
+``TeamResponse`` was produced with.  It is also exact — pruning against
+a *subset* of the up-to-date index is still a genuine certificate, so
+the classic PLL cover argument goes through unchanged: for any pair the
+maximum-rank vertex on a shortest path labels both endpoints with exact
+distances.  Weaker intra-batch pruning can only add (correct) extra
+entries, most of which the tail filter removes.  ``batch_size=1``
+reproduces the classic fully sequential algorithm exactly.
 
 Labels also store the *parent* of each labelled node on the shortest-path
 tree of the landmark's Dijkstra, which allows exact path reconstruction
@@ -84,9 +70,6 @@ re-weighing the reconstructed path and repairs with one graph Dijkstra.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
-import pickle
-import queue as queue_module
 import time
 from array import array
 from bisect import bisect_left
@@ -160,14 +143,10 @@ def all_pairs_distances(oracle, sources, targets):
 
 _INF = float("inf")
 
-#: Upper bound on the doubling batch schedule.  Larger batches expose
-#: more parallelism but weaken intra-batch pruning (slightly larger
-#: labels); 64 keeps the growth measured in single-digit percent.
+#: Upper bound on the doubling batch schedule.  Larger batches weaken
+#: intra-batch pruning (slightly larger labels); 64 keeps the growth
+#: measured in single-digit percent.
 MAX_BATCH = 64
-
-#: Graphs below this size are always built in-process: worker start-up
-#: would dwarf the search work (the labels are identical either way).
-_MIN_PARALLEL_NODES = 32
 
 #: Recognized query kernels: "flat" (flat store, numpy when available),
 #: "flat-py" (flat store, stdlib dense scatter), "dict" (legacy per-node
@@ -176,7 +155,7 @@ _KERNELS = ("flat", "flat-py", "dict")
 
 
 def _batch_schedule(n: int, batch_size: int | None) -> list[range]:
-    """Rank batches for ``n`` landmarks, independent of worker count.
+    """Rank batches for ``n`` landmarks.
 
     ``None`` selects the doubling schedule 1, 2, 4, ... capped at
     :data:`MAX_BATCH`; an explicit ``batch_size`` gives constant batches
@@ -230,8 +209,7 @@ def _pruned_dijkstra(
 
     Pure function of its arguments: returns the would-be label entries
     ``(node, distance, parent)`` in settle order without mutating the
-    snapshot, so batches of searches can run concurrently (and
-    deterministically) against the same snapshot.
+    snapshot, so every search of a batch sees the same pre-batch labels.
     """
     l_ranks = ranks[landmark]
     l_dists = dists[landmark]
@@ -256,167 +234,6 @@ def _pruned_dijkstra(
     return results
 
 
-# ----------------------------------------------------------------------
-# parallel build plumbing
-# ----------------------------------------------------------------------
-def _worker_main(adj, order, in_queue, out_queue) -> None:  # pragma: no cover
-    """Worker loop: maintain a label-store replica, run batch searches.
-
-    Runs in a child process (coverage does not see it).  Protocol:
-    ``("delta", entries)`` appends committed label entries (keeping the
-    replica in sync with the parent's merge pass), ``("work", ranks)``
-    runs the pruned Dijkstras and returns ``[(rank, results), ...]``,
-    ``("stop",)`` exits.
-    """
-    ranks: dict[Node, list[int]] = {u: [] for u in adj}
-    dists: dict[Node, list[float]] = {u: [] for u in adj}
-    while True:
-        message = in_queue.get()
-        tag = message[0]
-        if tag == "stop":
-            return
-        if tag == "delta":
-            for node, rank_l, d in message[1]:
-                ranks[node].append(rank_l)
-                dists[node].append(d)
-        else:  # ("work", [rank, ...])
-            out = [
-                (rank_l, _pruned_dijkstra(adj, order[rank_l], ranks, dists))
-                for rank_l in message[1]
-            ]
-            out_queue.put(out)
-
-
-class _SerialExecutor:
-    """Run batch searches in-process against the live label store.
-
-    Valid because the merge pass runs only after *all* searches of a
-    batch returned: during the searches the live store *is* the
-    pre-batch snapshot.
-    """
-
-    def __init__(self, graph: Graph, index: "PrunedLandmarkLabeling") -> None:
-        self._adj = graph.adjacency()
-        self._index = index
-
-    def run_batch(
-        self, batch: range, delta: list[tuple[Node, int, float]]
-    ) -> list[tuple[int, list[tuple[Node, float, Node | None]]]]:
-        index = self._index
-        return [
-            (
-                rank_l,
-                _pruned_dijkstra(
-                    self._adj, index._order[rank_l], index._ranks, index._dists
-                ),
-            )
-            for rank_l in batch
-        ]
-
-    def close(self) -> None:
-        pass
-
-
-class _WorkerFailure(RuntimeError):
-    """A worker process died mid-build (OOM kill, crash)."""
-
-
-class _ParallelExecutor:
-    """Fan batch searches out to long-lived worker processes.
-
-    Each worker owns a replica of the label store; the parent broadcasts
-    the previous batch's committed entries (the *delta*) before handing
-    out work, so every search sees exactly the pre-batch snapshot.
-    """
-
-    def __init__(self, graph: Graph, order: list[Node], workers: int) -> None:
-        ctx = multiprocessing.get_context()
-        adj = graph.adjacency()
-        self._in_queues = []
-        self._out_queue = ctx.Queue()
-        self._processes = []
-        try:
-            for _ in range(workers):
-                # A buffered Queue (not SimpleQueue): put() only appends
-                # to an in-process deque and returns — a background
-                # feeder thread does the pipe write — so the parent can
-                # never block sending a large delta to a worker that
-                # died mid-drain.
-                in_queue = ctx.Queue()
-                process = ctx.Process(
-                    target=_worker_main,
-                    args=(adj, order, in_queue, self._out_queue),
-                    daemon=True,
-                )
-                process.start()
-                self._in_queues.append(in_queue)
-                self._processes.append(process)
-        except Exception:
-            self.close()
-            raise
-
-    def run_batch(
-        self, batch: range, delta: list[tuple[Node, int, float]]
-    ) -> list[tuple[int, list[tuple[Node, float, Node | None]]]]:
-        # Liveness check *before* sending: a put() to a dead worker's
-        # queue blocks forever once the pipe buffer fills (the parent
-        # holds the read end, so the write never raises EPIPE).
-        self._check_alive()
-        chunks = self._chunks(batch)
-        pending = 0
-        for in_queue, chunk in zip(self._in_queues, chunks):
-            if delta:
-                in_queue.put(("delta", delta))
-            if chunk:
-                in_queue.put(("work", chunk))
-                pending += 1
-        results: list[tuple[int, list[tuple[Node, float, Node | None]]]] = []
-        for _ in range(pending):
-            # Bounded waits with a liveness check: a worker that was
-            # OOM-killed or crashed would otherwise leave the parent
-            # blocked forever on a result that can never arrive.
-            while True:
-                try:
-                    results.extend(self._out_queue.get(timeout=5.0))
-                    break
-                except queue_module.Empty:
-                    self._check_alive()
-        results.sort(key=lambda item: item[0])
-        return results
-
-    def _check_alive(self) -> None:
-        if any(not p.is_alive() for p in self._processes):
-            raise _WorkerFailure("a PLL build worker died")
-
-    def _chunks(self, batch: range) -> list[list[int]]:
-        """Split ``batch`` into one contiguous chunk per worker."""
-        workers = len(self._in_queues)
-        base, extra = divmod(len(batch), workers)
-        chunks, start = [], 0
-        for i in range(workers):
-            size = base + (1 if i < extra else 0)
-            chunks.append(list(batch[start : start + size]))
-            start += size
-        return chunks
-
-    def close(self) -> None:
-        for process, in_queue in zip(self._processes, self._in_queues):
-            try:
-                if process.is_alive():
-                    in_queue.put(("stop",))
-            except (OSError, ValueError):  # pragma: no cover - shutdown race
-                pass
-        for process in self._processes:
-            process.join(timeout=10.0)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-        for in_queue in self._in_queues:
-            # Release each queue's feeder thread without waiting for a
-            # (possibly dead) worker to drain the pipe.
-            in_queue.close()
-            in_queue.cancel_join_thread()
-
-
 class PrunedLandmarkLabeling:
     """A 2-hop cover distance (and path) oracle over a weighted graph.
 
@@ -431,14 +248,10 @@ class PrunedLandmarkLabeling:
     order:
         Optional explicit landmark order (must be a permutation of the
         nodes); defaults to degree-descending.
-    workers:
-        Number of processes for index construction.  ``1`` (default)
-        builds in-process; any value produces *identical* labels because
-        the batch schedule does not depend on it.
     batch_size:
         Override the doubling batch schedule with constant batches;
         ``1`` restores the classic fully sequential prune discipline
-        (slightly smaller labels, no intra-batch parallelism).
+        (slightly smaller labels).
     kernel:
         Query-kernel selection.  ``"flat"`` (default) freezes the
         labels into a :class:`FlatLabelStore` on the first batched
@@ -480,13 +293,10 @@ class PrunedLandmarkLabeling:
         graph: Graph,
         *,
         order: list[Node] | None = None,
-        workers: int = 1,
         batch_size: int | None = None,
         kernel: str = "flat",
         order_strategy: str = "degree",
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be positive")
         if kernel not in _KERNELS:
             raise ValueError(
                 f"unknown kernel {kernel!r}; expected one of {_KERNELS}"
@@ -498,7 +308,6 @@ class PrunedLandmarkLabeling:
             raise GraphError("order must be a permutation of the graph's nodes")
         self._rank: dict[Node, int] = {node: i for i, node in enumerate(order)}
         self._order = order
-        self.workers = workers
         self.kernel = kernel
         self._use_numpy = kernel == "flat" and numpy_available()
         # label[u] = parallel arrays (landmark ranks asc, distances,
@@ -523,41 +332,28 @@ class PrunedLandmarkLabeling:
     # construction
     # ------------------------------------------------------------------
     def _build(self, batch_size: int | None) -> None:
-        executor = self._make_executor()
-        try:
-            delta: list[tuple[Node, int, float]] = []
-            for batch in _batch_schedule(len(self._order), batch_size):
-                try:
-                    results = executor.run_batch(batch, delta)
-                except _WorkerFailure:
-                    # A worker died (e.g. OOM-killed).  The parent's label
-                    # store is authoritative and nothing from this batch
-                    # has been merged yet, so re-running the batch on the
-                    # in-process executor yields the exact same labels.
-                    executor.close()
-                    executor = _SerialExecutor(self._graph, self)
-                    results = executor.run_batch(batch, delta)
-                delta = self._merge_batch(batch.start, results)
-        finally:
-            executor.close()
-
-    def _make_executor(self) -> _SerialExecutor | _ParallelExecutor:
-        if self.workers > 1 and len(self._order) >= _MIN_PARALLEL_NODES:
-            try:
-                return _ParallelExecutor(self._graph, self._order, self.workers)
-            except (OSError, pickle.PickleError, TypeError, AttributeError):
-                # Constrained sandboxes (no fork/spawn) or, under the
-                # "spawn" start method, unpicklable node ids: build
-                # in-process instead — the labels are identical.
-                pass
-        return _SerialExecutor(self._graph, self)
+        # Searching the live store is valid because a batch is merged
+        # only after all of its searches returned: until then the live
+        # store *is* the pre-batch snapshot.
+        adj = self._graph.adjacency()
+        for batch in _batch_schedule(len(self._order), batch_size):
+            results = [
+                (
+                    rank_l,
+                    _pruned_dijkstra(
+                        adj, self._order[rank_l], self._ranks, self._dists
+                    ),
+                )
+                for rank_l in batch
+            ]
+            self._merge_batch(batch.start, results)
 
     def _merge_batch(
         self,
         batch_start: int,
         results: list[tuple[int, list[tuple[Node, float, Node | None]]]],
-    ) -> list[tuple[Node, int, float]]:
-        """Commit one batch's searches in rank order; return the delta.
+    ) -> None:
+        """Commit one batch's searches in rank order.
 
         The tail filter drops an entry ``(u, d)`` of landmark ``l`` when
         an earlier *same-batch* landmark already certifies
@@ -565,7 +361,6 @@ class PrunedLandmarkLabeling:
         checked inside the search, so only ranks ``>= batch_start`` need
         scanning (a constant-size suffix of the sorted label arrays).
         """
-        delta: list[tuple[Node, int, float]] = []
         for rank_l, settles in results:
             landmark = self._order[rank_l]
             l_ranks = self._ranks[landmark]
@@ -581,8 +376,6 @@ class PrunedLandmarkLabeling:
                 self._ranks[u].append(rank_l)
                 self._dists[u].append(d)
                 self._parents[u].append(via)
-                delta.append((u, rank_l, d))
-        return delta
 
     # ------------------------------------------------------------------
     # incremental maintenance
@@ -1104,15 +897,14 @@ class PrunedLandmarkLabeling:
         not absorbed yet, exactly as the shared live graph did on the
         pre-clone in-place path — the caller's replayed ``add_node`` /
         ``insert_edge`` steps close that gap.  Unlike
-        :meth:`from_labels` (which guards untrusted snapshot bytes),
-        cloning a live in-process index is a trusted path, so no
+        :meth:`from_flat_labels` (which guards untrusted snapshot
+        bytes), cloning a live in-process index is a trusted path, so no
         permutation check applies.  ``pll_build_count`` is not bumped.
         """
         index = type(self).__new__(type(self))
         index._graph = self._graph.copy() if graph is None else graph
         index._order = list(self._order)
         index._rank = dict(self._rank)
-        index.workers = self.workers
         index.kernel = self.kernel
         index._use_numpy = self._use_numpy
         rows = self._rows()
@@ -1138,54 +930,6 @@ class PrunedLandmarkLabeling:
     # ------------------------------------------------------------------
     # persistence hooks (see repro.storage)
     # ------------------------------------------------------------------
-    def export_labels(self) -> dict:
-        """The complete index state as plain containers.
-
-        Returns ``{"order", "ranks", "dists", "parents",
-        "incremental_updates"}`` where ``ranks``/``dists``/``parents``
-        are lists aligned with ``order`` (one label per node, in
-        landmark-rank order) and parents are encoded as *ranks* into
-        ``order`` (``-1`` for the landmark's own root entry).  The
-        encoding is lossless: :meth:`from_labels` reconstructs an index
-        whose labels — and therefore distances *and* reconstructed
-        paths — are bit-identical to this one.  The storage layer packs
-        these lists into compact binary arrays; this method stays
-        format-agnostic.  (:meth:`export_flat_labels` is the zero-copy
-        sibling that hands the codec flat columns directly.)
-        """
-        flat = self._flat
-        if flat is not None:
-            ranks: list[list[int]] = []
-            dists: list[list[float]] = []
-            parents: list[list[int]] = []
-            for row in range(flat.num_rows):
-                row_ranks, row_dists, row_parents = flat.row_lists(row)
-                ranks.append(row_ranks)
-                dists.append(row_dists)
-                parents.append(row_parents)  # already rank-encoded
-            return {
-                "order": list(self._order),
-                "ranks": ranks,
-                "dists": dists,
-                "parents": parents,
-                "incremental_updates": self.incremental_updates,
-            }
-        rows = self._rows()
-        if rows is None:  # frozen mid-call
-            return self.export_labels()
-        all_ranks, all_dists, all_parents = rows
-        rank = self._rank
-        return {
-            "order": list(self._order),
-            "ranks": [all_ranks[u] for u in self._order],
-            "dists": [all_dists[u] for u in self._order],
-            "parents": [
-                [-1 if p is None else rank[p] for p in all_parents[u]]
-                for u in self._order
-            ],
-            "incremental_updates": self.incremental_updates,
-        }
-
     def export_flat_labels(self) -> dict:
         """The complete index state as flat columns — zero-copy when frozen.
 
@@ -1212,60 +956,12 @@ class PrunedLandmarkLabeling:
         }
 
     @classmethod
-    def from_labels(
-        cls, graph: Graph, state: dict, *, kernel: str = "flat"
-    ) -> "PrunedLandmarkLabeling":
-        """Rebuild an index from :meth:`export_labels` output — no build.
-
-        ``graph`` must be the graph the labels were computed over (the
-        warm-start path reconstructs it from the same snapshot, so the
-        pairing is consistent by construction); ``order`` must be a
-        permutation of its nodes, which is the one structural invariant
-        cheap enough to verify here.  The restored index never runs a
-        pruned Dijkstra, so :func:`pll_build_count` is *not* bumped —
-        that is the entire point of warm starts, and what the snapshot
-        benchmark asserts.
-        """
-        if kernel not in _KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {_KERNELS}"
-            )
-        order = list(state["order"])
-        if set(order) != set(graph.nodes()):
-            raise GraphError(
-                "snapshot labels do not match the graph: order is not a "
-                "permutation of the graph's nodes"
-            )
-        index = cls.__new__(cls)
-        index._graph = graph
-        index._order = order
-        index._rank = {node: i for i, node in enumerate(order)}
-        index.workers = 1
-        index.kernel = kernel
-        index._use_numpy = kernel == "flat" and numpy_available()
-        index._ranks = {}
-        index._dists = {}
-        index._parents = {}
-        for node, ranks, dists, parents in zip(
-            order, state["ranks"], state["dists"], state["parents"]
-        ):
-            index._ranks[node] = list(ranks)
-            index._dists[node] = list(dists)
-            index._parents[node] = [
-                None if p < 0 else order[p] for p in parents
-            ]
-        index._flat = None
-        index._source_cache = {}
-        index.incremental_updates = int(state["incremental_updates"])
-        return index
-
-    @classmethod
     def from_flat_labels(
         cls, graph: Graph, state: dict
     ) -> "PrunedLandmarkLabeling":
         """Adopt :meth:`export_flat_labels` columns — no build, no inflation.
 
-        The warm-start twin of :meth:`from_labels`: the decoded snapshot
+        The warm-start path: the decoded snapshot
         columns become the live query representation directly, so
         restoring an index performs no per-entry work at all (rows are
         materialized lazily only if the index is later mutated).  The
@@ -1298,7 +994,6 @@ class PrunedLandmarkLabeling:
         index._graph = graph
         index._order = order
         index._rank = {node: i for i, node in enumerate(order)}
-        index.workers = 1
         index.kernel = "flat"
         index._use_numpy = numpy_available()
         try:
@@ -1350,8 +1045,8 @@ class PrunedLandmarkLabeling:
     def labels(self) -> dict[Node, list[tuple[Node, float]]]:
         """The whole index as ``{node: [(landmark, distance), ...]}``.
 
-        Used by the equivalence tests (parallel vs sequential builds must
-        agree entry-for-entry) and by index-size diagnostics.
+        Used by the equivalence tests (builds must agree entry-for-entry)
+        and by index-size diagnostics.
         """
         return {node: self.label_of(node) for node in self._order}
 

@@ -10,7 +10,7 @@ queries through a boundary-distance summary:
   articulation/component structure.  Cut vertices are replicated into
   every adjacent shard and form the **boundary**.
 * Each shard gets its own ``PrunedLandmarkLabeling`` over the induced
-  subgraph, built with the existing parallel builder — label size and
+  subgraph, built with the standard builder — label size and
   build time scale with the shard, not the graph.
 * A **boundary summary graph** is assembled from shard-local distances
   between boundary pairs co-resident in a shard, and Dijkstra from each
@@ -36,8 +36,8 @@ regions, so co-residency alone does not imply the local answer is
 finite, let alone minimal.
 
 Determinism: shard subgraphs inherit the parent graph's insertion order,
-per-shard builds use the standard worker-count-independent batch
-schedule, summary edges resolve ties toward the lowest shard index, and
+per-shard builds use the standard deterministic batch schedule,
+summary edges resolve ties toward the lowest shard index, and
 the summary Dijkstra breaks heap ties by boundary position — the same
 graph and plan always produce bit-identical answers in every process.
 """
@@ -82,7 +82,6 @@ class ShardedPLLOracle:
         plan: ShardPlan | None = None,
         *,
         shards: int | None = None,
-        workers: int = 1,
         kernel: str = "flat",
         order_strategy: str = "degree",
     ) -> None:
@@ -94,7 +93,7 @@ class ShardedPLLOracle:
         self._shards: list[PrunedLandmarkLabeling] = []
         for i, sub in enumerate(self._subgraphs):
             pll = PrunedLandmarkLabeling(
-                sub, workers=workers, kernel=kernel, order_strategy=order_strategy
+                sub, kernel=kernel, order_strategy=order_strategy
             )
             pll._obs_shard = i
             self._shards.append(pll)

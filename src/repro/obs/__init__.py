@@ -9,15 +9,11 @@ Three pieces, all stdlib-only:
   calls :func:`repro.obs.span` — one contextvar read when tracing is
   off.
 
-* **Metrics** (re-exported from :mod:`repro.serving.metrics`): this
-  package is the *canonical import point* for the registry primitives.
-  Both ``repro/graph/metrics.py`` (dataset characterization tables)
-  and ``repro/serving/metrics.py`` (counters/gauges/reservoirs) exist;
-  importing ``Counter`` et al. from ``repro.obs`` sidesteps the name
-  shadowing hazard.  :func:`global_registry` holds the process-wide
-  registry that per-layer instrumentation lands in; the server merges
-  it into ``{"op": "stats"}`` (as ``"layers"``) and ``{"op":
-  "metrics"}``.
+* **Metrics** (:mod:`repro.obs.metrics`): thread-safe counters,
+  gauges and streaming latency reservoirs.  :func:`global_registry`
+  holds the process-wide registry that per-layer instrumentation lands
+  in; the server merges it into ``{"op": "stats"}`` (as ``"layers"``)
+  and ``{"op": "metrics"}``.
 
 * **Exposition** (:mod:`repro.obs.prom`): Prometheus text-format
   rendering of any registry snapshot.
@@ -25,7 +21,7 @@ Three pieces, all stdlib-only:
 
 from __future__ import annotations
 
-from ..serving.metrics import Counter, Gauge, LatencyReservoir, MetricsRegistry
+from .metrics import Counter, Gauge, LatencyReservoir, MetricsRegistry
 from .prom import render_prometheus
 from .trace import (
     Span,

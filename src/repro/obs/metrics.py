@@ -1,4 +1,4 @@
-"""Serving metrics: counters, gauges, and streaming latency reservoirs.
+"""Metrics: counters, gauges, and streaming latency reservoirs.
 
 The persistent server (:mod:`repro.serving.server`) needs latency
 percentiles over an *unbounded* request stream without keeping every

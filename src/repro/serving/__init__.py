@@ -6,7 +6,7 @@ in two tiers:
 * **Tier one — a thread-safe engine.**
   :class:`repro.api.TeamFormationEngine` is safe to share across
   threads: concurrent cache misses on the same oracle key single-flight
-  onto one build (:mod:`repro.serving.locks` has the reader/writer
+  onto one build (:mod:`repro.api.locks` has the reader/writer
   primitive; the per-key build locks live in the engine), FIFO eviction
   and memo bookkeeping are lock-protected, stale indexes are upgraded
   onto clones so an in-flight solve never observes a half-reconciled
@@ -31,7 +31,7 @@ persistent asyncio front end (:class:`TeamServer` — admission control,
 per-request deadlines, a metrics registry with streaming latency
 percentiles, and zero-downtime snapshot hot reload; wire protocol in
 :mod:`repro.serving.server_conn`, instruments in
-:mod:`repro.serving.metrics`).
+:mod:`repro.obs.metrics`).
 
 :mod:`repro.serving.replication` keeps replicas current against a live
 primary: :class:`ReplicationLog` frames the primary's mutation journal
@@ -40,22 +40,39 @@ them through the engine's version-keyed incremental path, and
 ``serve --replicate`` wires both under a :class:`ReplicatedBackend`
 with bounded-staleness admission (``--max-lag-ms``).
 
-Submodules import lazily (PEP 562): the engine imports
-:mod:`repro.serving.locks`, while :mod:`repro.serving.pool` imports the
-engine — eager re-exports here would complete that cycle.
+Imports point one way: this package builds on :mod:`repro.api`,
+:mod:`repro.storage` and :mod:`repro.obs`, and none of those import it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from .batch import plan_jobs, request_index_key
+from .pool import EngineReplicaPool, usable_cores
+from .replication import (
+    ReplicaFollower,
+    ReplicationLog,
+    ReplicationRecord,
+    apply_network_op,
+)
+from .server import (
+    BackgroundServer,
+    EngineBackend,
+    PoolBackend,
+    ReplicatedBackend,
+    TeamServer,
+    fixed_engine_loader,
+    read_requests,
+    replicated_backend_loader,
+    serve_batch,
+    store_backend_loader,
+)
+from .server_conn import ServingClient
 
 __all__ = [
     "BackgroundServer",
     "EngineBackend",
     "EngineReplicaPool",
-    "MetricsRegistry",
     "PoolBackend",
-    "ReadWriteLock",
     "ReplicaFollower",
     "ReplicatedBackend",
     "ReplicationLog",
@@ -72,71 +89,3 @@ __all__ = [
     "store_backend_loader",
     "usable_cores",
 ]
-
-_EXPORTS = {
-    "BackgroundServer": ("repro.serving.server", "BackgroundServer"),
-    "EngineBackend": ("repro.serving.server", "EngineBackend"),
-    "EngineReplicaPool": ("repro.serving.pool", "EngineReplicaPool"),
-    "MetricsRegistry": ("repro.serving.metrics", "MetricsRegistry"),
-    "PoolBackend": ("repro.serving.server", "PoolBackend"),
-    "ReadWriteLock": ("repro.serving.locks", "ReadWriteLock"),
-    "ReplicaFollower": ("repro.serving.replication", "ReplicaFollower"),
-    "ReplicatedBackend": ("repro.serving.server", "ReplicatedBackend"),
-    "ReplicationLog": ("repro.serving.replication", "ReplicationLog"),
-    "ReplicationRecord": ("repro.serving.replication", "ReplicationRecord"),
-    "ServingClient": ("repro.serving.server_conn", "ServingClient"),
-    "TeamServer": ("repro.serving.server", "TeamServer"),
-    "apply_network_op": ("repro.serving.replication", "apply_network_op"),
-    "fixed_engine_loader": ("repro.serving.server", "fixed_engine_loader"),
-    "plan_jobs": ("repro.serving.batch", "plan_jobs"),
-    "replicated_backend_loader": (
-        "repro.serving.server",
-        "replicated_backend_loader",
-    ),
-    "request_index_key": ("repro.serving.batch", "request_index_key"),
-    "read_requests": ("repro.serving.server", "read_requests"),
-    "serve_batch": ("repro.serving.server", "serve_batch"),
-    "store_backend_loader": ("repro.serving.server", "store_backend_loader"),
-    "usable_cores": ("repro.serving.pool", "usable_cores"),
-}
-
-if TYPE_CHECKING:  # pragma: no cover - static imports for type checkers
-    from .batch import plan_jobs, request_index_key
-    from .locks import ReadWriteLock
-    from .metrics import MetricsRegistry
-    from .pool import EngineReplicaPool, usable_cores
-    from .replication import (
-        ReplicaFollower,
-        ReplicationLog,
-        ReplicationRecord,
-        apply_network_op,
-    )
-    from .server import (
-        BackgroundServer,
-        EngineBackend,
-        PoolBackend,
-        ReplicatedBackend,
-        TeamServer,
-        fixed_engine_loader,
-        read_requests,
-        replicated_backend_loader,
-        serve_batch,
-        store_backend_loader,
-    )
-    from .server_conn import ServingClient
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__() -> list[str]:
-    return sorted(__all__)

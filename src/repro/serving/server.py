@@ -28,7 +28,7 @@ front end: the same NDJSON protocol over a TCP or Unix socket
   server default) is honored end to end: a request whose budget expires
   while still queued is answered ``deadline_exceeded`` without ever
   occupying a solve worker;
-* **metrics** (:mod:`repro.serving.metrics`) — counters, gauges and
+* **metrics** (:mod:`repro.obs.metrics`) — counters, gauges and
   streaming latency percentiles, exposed in-band via ``{"op": "stats"}``
   and an optional periodic log line;
 * **zero-downtime hot reload** — on SIGHUP or ``{"op": "reload"}`` the

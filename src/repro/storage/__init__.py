@@ -34,11 +34,9 @@ from .codec import (
     EngineSnapshotState,
     OracleEntryState,
     decode_engine_snapshot,
-    decode_labels,
     decode_labels_flat,
     encode_engine_snapshot,
     encode_flat_labels,
-    encode_labels,
     warm_bases_from_meta,
 )
 from .delta import (
@@ -95,9 +93,7 @@ __all__ = [
     "OracleEntryState",
     "encode_engine_snapshot",
     "decode_engine_snapshot",
-    "encode_labels",
     "encode_flat_labels",
-    "decode_labels",
     "decode_labels_flat",
     "warm_bases_from_meta",
 ]

@@ -55,9 +55,7 @@ from .errors import CorruptSnapshotError
 __all__ = [
     "OracleEntryState",
     "EngineSnapshotState",
-    "encode_labels",
     "encode_flat_labels",
-    "decode_labels",
     "decode_labels_flat",
     "encode_engine_snapshot",
     "decode_engine_snapshot",
@@ -111,47 +109,14 @@ def _unpack_array(
     return data, offset + size
 
 
-def _unpack(typecode: str, blob: bytes, offset: int, count: int) -> tuple[list, int]:
-    data, offset = _unpack_array(typecode, blob, offset, count)
-    return data.tolist(), offset
-
-
 # ----------------------------------------------------------------------
 # PLL label sections
 # ----------------------------------------------------------------------
-def encode_labels(state: dict) -> bytes:
-    """Pack :meth:`PrunedLandmarkLabeling.export_labels` output."""
-    order_blob = json.dumps(state["order"]).encode("utf-8")
-    counts = [len(ranks) for ranks in state["ranks"]]
-    total = sum(counts)
-    flat_ranks: list[int] = []
-    flat_dists: list[float] = []
-    flat_parents: list[int] = []
-    for ranks, dists, parents in zip(
-        state["ranks"], state["dists"], state["parents"]
-    ):
-        flat_ranks.extend(ranks)
-        flat_dists.extend(dists)
-        flat_parents.extend(parents)
-    return b"".join(
-        [
-            _LABEL_HEAD.pack(len(state["order"]), len(order_blob)),
-            order_blob,
-            _LABEL_MID.pack(int(state["incremental_updates"]), total),
-            _pack(_U32, counts),
-            _pack(_U32, flat_ranks),
-            _pack("d", flat_dists),
-            _pack(_I32, flat_parents),
-        ]
-    )
-
-
 def encode_flat_labels(state: dict) -> bytes:
     """Pack :meth:`PrunedLandmarkLabeling.export_flat_labels` output.
 
-    Byte-identical to :func:`encode_labels` over the equivalent
-    per-node-list state — the on-disk layout *is* the flat layout, so
-    each column is one memcpy instead of a per-entry Python loop.
+    The on-disk layout *is* the flat layout, so each column is one
+    memcpy instead of a per-entry Python loop.
     """
     order_blob = json.dumps(state["order"]).encode("utf-8")
     return b"".join(
@@ -169,10 +134,12 @@ def encode_flat_labels(state: dict) -> bytes:
     )
 
 
-def _decode_label_columns(
-    blob: bytes,
-) -> tuple[list, list[int], array, array, array, int]:
-    """Shared parse of a label section into validated flat columns."""
+def decode_labels_flat(blob: bytes) -> dict:
+    """Inverse of :func:`encode_flat_labels` — columns stay flat.
+
+    Returns the shape :meth:`PrunedLandmarkLabeling.from_flat_labels`
+    adopts directly, so a warm start never inflates per-node lists.
+    """
     if len(blob) < _LABEL_HEAD.size:
         raise CorruptSnapshotError("label section shorter than its header")
     n_nodes, order_len = _LABEL_HEAD.unpack_from(blob)
@@ -191,7 +158,8 @@ def _decode_label_columns(
     offset += order_len
     incremental_updates, total = _LABEL_MID.unpack_from(blob, offset)
     offset += _LABEL_MID.size
-    counts, offset = _unpack(_U32, blob, offset, n_nodes)
+    counts, offset = _unpack_array(_U32, blob, offset, n_nodes)
+    counts = counts.tolist()
     if sum(counts) != total:
         raise CorruptSnapshotError(
             f"label counts sum to {sum(counts)}, header claims {total}"
@@ -206,45 +174,13 @@ def _decode_label_columns(
         raise CorruptSnapshotError("label hub rank out of range")
     if total and not (-1 <= min(flat_parents) and max(flat_parents) < n_nodes):
         raise CorruptSnapshotError("label parent rank out of range")
-    return order, counts, flat_ranks, flat_dists, flat_parents, incremental_updates
-
-
-def decode_labels_flat(blob: bytes) -> dict:
-    """Inverse of :func:`encode_flat_labels` — columns stay flat.
-
-    Returns the shape :meth:`PrunedLandmarkLabeling.from_flat_labels`
-    adopts directly, so a warm start never inflates per-node lists.
-    """
-    order, counts, ranks, dists, parents, incremental = _decode_label_columns(blob)
     return {
         "order": order,
         "counts": counts,
-        "ranks": ranks,
-        "dists": dists,
-        "parents": parents,
-        "incremental_updates": incremental,
-    }
-
-
-def decode_labels(blob: bytes) -> dict:
-    """Inverse of :func:`encode_labels` (bit-exact, per-node lists)."""
-    order, counts, flat_ranks, flat_dists, flat_parents, incremental = (
-        _decode_label_columns(blob)
-    )
-    ranks, dists, parents = [], [], []
-    start = 0
-    for count in counts:
-        stop = start + count
-        ranks.append(flat_ranks[start:stop].tolist())
-        dists.append(flat_dists[start:stop].tolist())
-        parents.append(flat_parents[start:stop].tolist())
-        start = stop
-    return {
-        "order": order,
-        "ranks": ranks,
-        "dists": dists,
-        "parents": parents,
-        "incremental_updates": incremental,
+        "ranks": flat_ranks,
+        "dists": flat_dists,
+        "parents": flat_parents,
+        "incremental_updates": incremental_updates,
     }
 
 
@@ -259,10 +195,7 @@ class OracleEntryState:
     in); ``base`` is the engine's cache base key — ``(kind, "cc")``,
     ``(kind, "fold", gamma)`` or ``(kind, "raw")``; ``version`` is the
     network version the entry is keyed at; ``labels`` is
-    :meth:`PrunedLandmarkLabeling.export_flat_labels` output (the
-    legacy :meth:`~PrunedLandmarkLabeling.export_labels` per-node-list
-    shape, distinguished by the absence of a ``"counts"`` key, is still
-    accepted — both encode to the same bytes).
+    :meth:`PrunedLandmarkLabeling.export_flat_labels` output.
     """
 
     cache: str
@@ -360,11 +293,7 @@ def encode_engine_snapshot(
             record["boundary_section"] = boundary_section
         else:
             section = f"labels/{i}"
-            labels = entry.labels
-            if "counts" in labels:
-                sections[section] = encode_flat_labels(labels)
-            else:
-                sections[section] = encode_labels(labels)
+            sections[section] = encode_flat_labels(entry.labels)
             record["section"] = section
         entry_meta.append(record)
     engine_doc: dict[str, Any] = {

@@ -1,12 +1,11 @@
-"""Batch distance API, per-root cache, and the parallel PLL build.
+"""Batch distance API, per-root cache, and the batched PLL build.
 
 Three equivalences are pinned down here:
 
 * ``distances_from`` / ``distances_many`` agree with point ``distance()``
   and with plain Dijkstra ground truth, on both oracle kinds;
-* a parallel build (``workers=2``) produces *identical* labels to the
-  sequential build — the batch schedule is worker-independent, so this is
-  an exact, entry-for-entry comparison, not an approximate one;
+* the doubling batch schedule and the classic ``batch_size=1`` build both
+  answer exact distances and paths;
 * the greedy solver returns identical teams through the batched and the
   point-query paths.
 """
@@ -24,9 +23,7 @@ from repro.graph import (
     PrunedLandmarkLabeling,
     build_oracle,
     dijkstra,
-    get_default_index_workers,
     mst_steiner_tree,
-    set_default_index_workers,
 )
 
 from ..conftest import make_random_network
@@ -94,34 +91,21 @@ def test_protocol_includes_batch_api():
 
 
 # ----------------------------------------------------------------------
-# parallel build
+# batched build
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [0, 1])
-def test_parallel_build_identical_labels(seed):
-    g = _random_graph(seed, n=60)
-    sequential = PrunedLandmarkLabeling(g, workers=1)
-    parallel = PrunedLandmarkLabeling(g, workers=2)
-    assert sequential.labels() == parallel.labels()
-    # export_labels carries the parent pointers (rank-encoded), so this
-    # pins full label equality regardless of the active representation.
-    assert sequential.export_labels() == parallel.export_labels()
-    assert sequential.total_label_entries == parallel.total_label_entries
-
-
-def test_parallel_build_exact_distances_and_paths():
+@pytest.mark.parametrize("batch_size", [None, 1], ids=["doubling", "classic"])
+def test_build_exact_distances_and_paths(batch_size):
     g = _random_graph(4, n=60)
-    parallel = PrunedLandmarkLabeling(g, workers=2)
-    classic = PrunedLandmarkLabeling(g, batch_size=1)
+    pll = PrunedLandmarkLabeling(g, batch_size=batch_size)
     rng = random.Random(7)
     nodes = sorted(g.nodes(), key=repr)
     for _ in range(60):
         a, b = rng.choice(nodes), rng.choice(nodes)
         truth, _ = dijkstra(g, a, targets=[b])
         expected = truth.get(b, float("inf"))
-        assert parallel.distance(a, b) == pytest.approx(expected)
-        assert classic.distance(a, b) == pytest.approx(expected)
+        assert pll.distance(a, b) == pytest.approx(expected)
         if a != b and expected < float("inf"):
-            path = parallel.path(a, b)
+            path = pll.path(a, b)
             assert path[0] == a and path[-1] == b
             weight = sum(g.weight(u, v) for u, v in zip(path, path[1:]))
             assert weight == pytest.approx(expected)
@@ -138,24 +122,7 @@ def test_batched_schedule_grows_labels_only_marginally():
 def test_invalid_build_parameters():
     g = Graph.from_edges([("a", "b", 1.0)])
     with pytest.raises(ValueError):
-        PrunedLandmarkLabeling(g, workers=0)
-    with pytest.raises(ValueError):
         PrunedLandmarkLabeling(g, batch_size=0)
-
-
-def test_default_index_workers_roundtrip():
-    assert get_default_index_workers() == 1
-    try:
-        set_default_index_workers(2)
-        assert get_default_index_workers() == 2
-        g = _random_graph(6, n=60)
-        oracle = build_oracle(g, "pll")
-        assert oracle.workers == 2
-        assert oracle.labels() == PrunedLandmarkLabeling(g, workers=1).labels()
-    finally:
-        set_default_index_workers(1)
-    with pytest.raises(ValueError):
-        set_default_index_workers(0)
 
 
 # ----------------------------------------------------------------------
@@ -175,16 +142,6 @@ def test_greedy_batched_equals_point_queries(objective):
         assert tb.assignments == tp.assignments
         assert tb.root == tp.root
         assert sorted(tb.tree.edges()) == sorted(tp.tree.edges())
-
-
-def test_greedy_parallel_index_equals_sequential():
-    network = make_random_network(random.Random(12), n=40, p=0.2)
-    project = ["a", "b", "c", "d"]
-    sequential = GreedyTeamFinder(network, index_workers=1)
-    parallel = GreedyTeamFinder(network, index_workers=2)
-    teams_s = sequential.find_top_k(project, k=3)
-    teams_q = parallel.find_top_k(project, k=3)
-    assert [t.key() for t in teams_s] == [t.key() for t in teams_q]
 
 
 def test_steiner_oracle_closure_matches_plain():

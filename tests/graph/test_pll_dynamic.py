@@ -273,29 +273,26 @@ def test_flat_kernel_matches_dict_oracle_after_mutations(data):
 
 @given(data=st.data())
 def test_label_round_trips_are_zero_build_and_bit_identical(data):
-    """Both export/import paths: no rebuild, bit-identical answers.
+    """The export/import path: no rebuild, bit-identical answers.
 
-    After random mutations, ``from_labels(export_labels(x))`` and
-    ``from_flat_labels(export_flat_labels(x))`` must each restore an
-    index that (a) paid zero PLL builds, (b) exports the identical
-    per-node-list state, and (c) answers every batched distance exactly
-    like the original.
+    After random mutations, ``from_flat_labels(export_flat_labels(x))``
+    must restore an index that (a) paid zero PLL builds, (b) exports the
+    identical rank, distance and parent columns, and (c) answers every
+    batched distance exactly like the original.
     """
     graph, num_nodes = _random_graph(data)
     pll = PrunedLandmarkLabeling(graph, kernel="flat")
     _apply_random_mutations(data, pll, num_nodes)
     nodes = list(graph.nodes())
-    expected_state = pll.export_labels()
+    expected_state = pll.export_flat_labels()
     expected = {source: pll.distances_from(source, nodes) for source in nodes}
 
     builds = pll_build_count()
-    via_lists = PrunedLandmarkLabeling.from_labels(graph, pll.export_labels())
-    via_flat = PrunedLandmarkLabeling.from_flat_labels(
+    restored = PrunedLandmarkLabeling.from_flat_labels(
         graph, pll.export_flat_labels()
     )
     assert pll_build_count() == builds
-    for restored in (via_lists, via_flat):
-        assert restored.export_labels() == expected_state
-        assert restored.incremental_updates == pll.incremental_updates
-        for source in nodes:
-            assert restored.distances_from(source, nodes) == expected[source]
+    assert restored.export_flat_labels() == expected_state
+    assert restored.incremental_updates == pll.incremental_updates
+    for source in nodes:
+        assert restored.distances_from(source, nodes) == expected[source]

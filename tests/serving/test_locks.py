@@ -1,4 +1,4 @@
-"""Unit behavior of the serving layer's readers/writer lock."""
+"""Unit behavior of the engine's readers/writer lock."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.serving.locks import ReadWriteLock
+from repro.api.locks import ReadWriteLock
 
 
 def test_readers_share():

@@ -1,4 +1,4 @@
-"""The serving metrics instruments: counters, gauges, reservoirs.
+"""The metrics instruments: counters, gauges, reservoirs.
 
 The load-bearing contract is the reservoir's: exact percentiles while
 the stream fits in capacity, a uniform sample (seeded, so reproducible)
@@ -12,9 +12,6 @@ import threading
 
 import pytest
 
-# repro.obs is the canonical import point for the instruments (it
-# resolves the repro/graph/metrics.py vs repro/serving/metrics.py name
-# shadowing hazard); the definitions still live in serving.metrics.
 from repro.obs import (
     Counter,
     Gauge,
@@ -206,14 +203,14 @@ def test_reservoir_seeded_eviction_is_deterministic_sample_for_sample():
 # ----------------------------------------------------------------------
 # the canonical import point
 # ----------------------------------------------------------------------
-def test_obs_reexports_are_the_serving_definitions():
+def test_obs_reexports_are_the_obs_metrics_definitions():
     import repro.obs
-    import repro.serving.metrics as serving_metrics
+    import repro.obs.metrics as obs_metrics
 
     # One definition, two import paths: instruments created through
     # either module land in the same classes, so registries interoperate.
-    assert repro.obs.Counter is serving_metrics.Counter
-    assert repro.obs.Gauge is serving_metrics.Gauge
-    assert repro.obs.LatencyReservoir is serving_metrics.LatencyReservoir
-    assert repro.obs.MetricsRegistry is serving_metrics.MetricsRegistry
+    assert repro.obs.Counter is obs_metrics.Counter
+    assert repro.obs.Gauge is obs_metrics.Gauge
+    assert repro.obs.LatencyReservoir is obs_metrics.LatencyReservoir
+    assert repro.obs.MetricsRegistry is obs_metrics.MetricsRegistry
     assert repro.obs.global_registry() is repro.obs.global_registry()

@@ -71,7 +71,9 @@ def test_restored_labels_are_bit_identical(engine, tmp_path):
         for key, (_graph, live_oracle) in cache_live.items():
             warm_oracle = cache_warm[key][1]
             assert isinstance(warm_oracle, PrunedLandmarkLabeling)
-            assert warm_oracle.export_labels() == live_oracle.export_labels()
+            assert (
+                warm_oracle.export_flat_labels() == live_oracle.export_flat_labels()
+            )
 
 
 def test_network_history_round_trips(engine, tmp_path):

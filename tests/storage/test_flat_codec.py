@@ -1,19 +1,19 @@
-"""The flat (zero-copy) label codec path against the legacy one.
+"""The flat (zero-copy) label codec.
 
-PR-6 serves queries from flat columns
-(:class:`repro.graph.pll_kernel.FlatLabelStore`), so snapshots now
-travel ``export_flat_labels`` → :func:`encode_flat_labels` →
+Queries run from flat columns
+(:class:`repro.graph.pll_kernel.FlatLabelStore`), so snapshots travel
+``export_flat_labels`` → :func:`encode_flat_labels` →
 :func:`decode_labels_flat` → ``from_flat_labels`` with no per-entry
 Python work.  The contracts pinned here:
 
-* **byte identity** — ``encode_flat_labels`` produces the exact bytes
-  ``encode_labels`` produced from the per-node-list export, so the
-  on-disk format is unchanged and old snapshots stay loadable;
 * **round-trip identity** — decode → adopt restores an index that paid
   zero PLL builds and answers bit-identically;
 * **corruption rejection** — truncation and insane-but-CRC-valid
   columns (bad counts, out-of-range hub/parent ranks) raise
-  :class:`CorruptSnapshotError` from both decoders.
+  :class:`CorruptSnapshotError`.
+
+Byte identity with snapshots written by earlier versions is pinned by
+the checked-in fixture in ``test_snapshot_fixture.py``.
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ import pytest
 
 from repro.graph.adjacency import Graph, GraphError
 from repro.graph.pll import PrunedLandmarkLabeling, pll_build_count
-from repro.storage import (
-    CorruptSnapshotError,
-    decode_labels,
-    decode_labels_flat,
-    encode_flat_labels,
-    encode_labels,
-)
+from repro.storage import CorruptSnapshotError, decode_labels_flat, encode_flat_labels
 from repro.storage.codec import _LABEL_HEAD
 
 
@@ -48,34 +42,6 @@ def sample_index(*, mutate: bool = False) -> PrunedLandmarkLabeling:
     return pll
 
 
-@pytest.mark.parametrize("mutate", [False, True])
-def test_flat_encoder_is_byte_identical_to_legacy(mutate):
-    pll = sample_index(mutate=mutate)
-    assert encode_flat_labels(pll.export_flat_labels()) == encode_labels(
-        pll.export_labels()
-    )
-
-
-def test_flat_and_legacy_decoders_agree():
-    pll = sample_index(mutate=True)
-    blob = encode_flat_labels(pll.export_flat_labels())
-    legacy = decode_labels(blob)
-    flat = decode_labels_flat(blob)
-    assert flat["order"] == legacy["order"]
-    assert flat["incremental_updates"] == legacy["incremental_updates"]
-    assert flat["counts"] == [len(ranks) for ranks in legacy["ranks"]]
-    start = 0
-    for ranks, dists, parents in zip(
-        legacy["ranks"], legacy["dists"], legacy["parents"]
-    ):
-        stop = start + len(ranks)
-        assert flat["ranks"][start:stop].tolist() == ranks
-        assert flat["dists"][start:stop].tolist() == dists
-        assert flat["parents"][start:stop].tolist() == parents
-        start = stop
-    assert start == len(flat["ranks"])
-
-
 def test_decode_round_trip_is_zero_build_and_bit_identical():
     pll = sample_index(mutate=True)
     graph = pll._graph
@@ -86,7 +52,7 @@ def test_decode_round_trip_is_zero_build_and_bit_identical():
     builds = pll_build_count()
     restored = PrunedLandmarkLabeling.from_flat_labels(graph, decode_labels_flat(blob))
     assert pll_build_count() == builds
-    assert restored.export_labels() == pll.export_labels()
+    assert restored.export_flat_labels() == pll.export_flat_labels()
     for source in nodes:
         assert restored.distances_from(source, nodes) == expected[source]
     # And the restored index re-encodes to the identical bytes.
@@ -94,22 +60,20 @@ def test_decode_round_trip_is_zero_build_and_bit_identical():
 
 
 # ----------------------------------------------------------------------
-# corruption rejection (shared by both decoders)
+# corruption rejection
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def blob() -> bytes:
     return encode_flat_labels(sample_index().export_flat_labels())
 
 
-@pytest.mark.parametrize("decoder", [decode_labels, decode_labels_flat])
-def test_truncated_blob_rejected(blob, decoder):
+def test_truncated_blob_rejected(blob):
     for cut in (1, _LABEL_HEAD.size + 2, len(blob) // 2, len(blob) - 1):
         with pytest.raises(CorruptSnapshotError, match="truncat|shorter"):
-            decoder(blob[:cut])
+            decode_labels_flat(blob[:cut])
 
 
-@pytest.mark.parametrize("decoder", [decode_labels, decode_labels_flat])
-def test_counts_disagreeing_with_header_rejected(blob, decoder):
+def test_counts_disagreeing_with_header_rejected(blob):
     n_nodes, order_len = _LABEL_HEAD.unpack_from(blob)
     counts_at = _LABEL_HEAD.size + order_len + struct.calcsize("<IQ")
     first_count = array("I")
@@ -117,7 +81,7 @@ def test_counts_disagreeing_with_header_rejected(blob, decoder):
     bumped = array("I", [first_count[0] + 1]).tobytes()
     corrupt = blob[:counts_at] + bumped + blob[counts_at + 4 :]
     with pytest.raises(CorruptSnapshotError, match="counts"):
-        decoder(corrupt)
+        decode_labels_flat(corrupt)
 
 
 def _encode_with_column(pll, column: str, index: int, value: int) -> bytes:
@@ -128,29 +92,26 @@ def _encode_with_column(pll, column: str, index: int, value: int) -> bytes:
     return encode_flat_labels(state)
 
 
-@pytest.mark.parametrize("decoder", [decode_labels, decode_labels_flat])
-def test_out_of_range_hub_rank_rejected(decoder):
+def test_out_of_range_hub_rank_rejected():
     pll = sample_index()
     corrupt = _encode_with_column(pll, "ranks", 0, len(pll._order))
     with pytest.raises(CorruptSnapshotError, match="hub rank out of range"):
-        decoder(corrupt)
+        decode_labels_flat(corrupt)
 
 
-@pytest.mark.parametrize("decoder", [decode_labels, decode_labels_flat])
-def test_out_of_range_parent_rank_rejected(decoder):
+def test_out_of_range_parent_rank_rejected():
     pll = sample_index()
     for bad in (-2, len(pll._order)):
         corrupt = _encode_with_column(pll, "parents", 0, bad)
         with pytest.raises(CorruptSnapshotError, match="parent rank out of range"):
-            decoder(corrupt)
+            decode_labels_flat(corrupt)
 
 
-@pytest.mark.parametrize("decoder", [decode_labels, decode_labels_flat])
-def test_undecodable_landmark_order_rejected(blob, decoder):
+def test_undecodable_landmark_order_rejected(blob):
     start = _LABEL_HEAD.size
     corrupt = blob[:start] + b"\xff" + blob[start + 1 :]
     with pytest.raises(CorruptSnapshotError, match="landmark order"):
-        decoder(corrupt)
+        decode_labels_flat(corrupt)
 
 
 def test_from_flat_labels_rejects_count_row_mismatch():

@@ -108,8 +108,8 @@ def test_load_save_identity_with_mutation_history(
             for key, (_g, oracle) in cache_live.items():
                 if isinstance(oracle, PrunedLandmarkLabeling):
                     assert (
-                        cache_warm[key][1].export_labels()
-                        == oracle.export_labels()
+                        cache_warm[key][1].export_flat_labels()
+                        == oracle.export_flat_labels()
                     ), key
         for request, expected in zip(reqs, live):
             assert canonical_json(warm.solve(request)) == canonical_json(

@@ -14,7 +14,6 @@ from repro.expertise import (
     network_from_dict,
     network_to_dict,
 )
-from repro.graph import Graph, k_shortest_paths
 
 _id = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd")),
@@ -131,37 +130,3 @@ def test_bootstrap_ci_brackets_sample_mean(values):
     ci = bootstrap_mean_ci(values, seed=0)
     assert ci.low <= ci.mean + 1e-9
     assert ci.mean <= ci.high + 1e-9
-
-
-@st.composite
-def weighted_graphs_with_pair(draw):
-    n = draw(st.integers(2, 10))
-    g = Graph()
-    g.add_node(0)
-    for i in range(1, n):
-        g.add_edge(i, draw(st.integers(0, i - 1)), weight=draw(st.floats(0.1, 5.0)))
-    extra = draw(st.integers(0, n))
-    for _ in range(extra):
-        u = draw(st.integers(0, n - 1))
-        v = draw(st.integers(0, n - 1))
-        if u != v and not g.has_edge(u, v):
-            g.add_edge(u, v, weight=draw(st.floats(0.1, 5.0)))
-    return g, 0, n - 1
-
-
-@given(weighted_graphs_with_pair(), st.integers(1, 4))
-@settings(max_examples=30, deadline=None)
-def test_yen_paths_sorted_simple_distinct(case, k):
-    g, s, t = case
-    paths = k_shortest_paths(g, s, t, k)
-    assert 1 <= len(paths) <= k
-    costs = [c for c, _ in paths]
-    assert costs == sorted(costs)
-    seen = set()
-    for cost, path in paths:
-        assert path[0] == s and path[-1] == t
-        assert len(path) == len(set(path))
-        realized = sum(g.weight(u, v) for u, v in zip(path, path[1:]))
-        assert abs(realized - cost) < 1e-9
-        assert tuple(path) not in seen
-        seen.add(tuple(path))
