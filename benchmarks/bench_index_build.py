@@ -7,8 +7,7 @@ Measures, per network scale:
   dict-probing baseline), ``flat-py`` (flat-array store, stdlib dense
   scatter) and ``flat`` (flat-array store, numpy vectorized when
   available) — with an exact-equality check of every probed distance
-  across kernels, plus point ``distance()`` throughput for reference;
-* batched vs point-query greedy search, asserting identical teams.
+  across kernels, plus point ``distance()`` throughput for reference.
 
 The PR-6 acceptance gate is a >= ``--min-query-speedup`` batched
 throughput win of the ``flat`` kernel over the ``dict`` baseline at the
@@ -30,8 +29,7 @@ import sys
 import time
 
 from _bench_json import usable_cores, write_json_report
-from repro.core.greedy import GreedyTeamFinder
-from repro.eval.workload import SCALE_CONFIGS, benchmark_network, sample_projects
+from repro.eval.workload import SCALE_CONFIGS, benchmark_network
 from repro.graph.pll import PrunedLandmarkLabeling
 from repro.graph.pll_kernel import numpy_available
 
@@ -110,22 +108,6 @@ def bench_query_kernels(
     return point_qps, batch_qps
 
 
-def bench_greedy(network) -> tuple[float, float]:
-    """(point s, batched s) for one top-k sweep; asserts identical teams."""
-    project = sample_projects(network, 4, 1, seed=23)[0]
-    batched = GreedyTeamFinder(network)
-    point = GreedyTeamFinder(network, batch_queries=False)
-    t0 = time.perf_counter()
-    teams_point = point.find_top_k(project, k=5)
-    point_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    teams_batched = batched.find_top_k(project, k=5)
-    batched_s = time.perf_counter() - t0
-    if [t.key() for t in teams_point] != [t.key() for t in teams_batched]:
-        raise AssertionError("batched greedy diverged from point-query greedy")
-    return point_s, batched_s
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -182,11 +164,6 @@ def main(argv: list[str] | None = None) -> int:
                 else " (baseline)"
             )
             print(f"  batched {kernel:<8}  : {batch_qps[kernel]:,.0f} q/s{note}")
-        point_s, batched_s = bench_greedy(network)
-        print(
-            f"  greedy top-5: point {point_s:.3f}s, batched {batched_s:.3f}s "
-            f"(x{point_s / batched_s:.2f}, identical teams)"
-        )
         scales_report[scale] = {
             "nodes": graph.num_nodes,
             "edges": graph.num_edges,
@@ -194,8 +171,6 @@ def main(argv: list[str] | None = None) -> int:
             "point_qps": point_qps,
             "batch_qps": dict(batch_qps),
             "flat_vs_dict_speedup": kernel_speedup,
-            "greedy_point_seconds": point_s,
-            "greedy_batched_seconds": batched_s,
         }
 
     status = 0

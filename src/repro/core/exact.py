@@ -177,7 +177,7 @@ class ExactSolver:
         if self.evaluator.sa_mode == "per_skill":
             experts: Iterable[str] = assignment.values()
         else:
-            experts = set(assignment.values())
+            experts = sorted(set(assignment.values()))
         return sum(self.evaluator.node_cost(c) for c in experts)
 
     def _connect(

@@ -16,6 +16,16 @@ In every authority-aware mode, a root that itself holds the skill is
 assigned it at score zero (Section 3.2.2).  ``DIST`` queries go through a
 pluggable distance oracle — the paper's 2-hop cover by default.
 
+The sweep runs holder-first: one ``distances_from(holder, roots)`` call
+per holder of a required skill scores that holder from every root at
+once, instead of one distance pass per root.  The search graph is
+undirected, so ``DIST(root, v) = DIST(v, root)``; the 2-hop cover sums
+the same hub pairs in both directions, so with the default oracle the
+scores, the totals and the teams are bit-identical to the paper's
+root-by-root loop.  Dijkstra and sharded oracles add edge weights in a
+direction-dependent order: equal as real numbers, bit-identical when
+edge-weight sums are exact.
+
 Final teams are *materialized* from a single Dijkstra tree rooted at the
 winning root (all root-to-holder paths then share edges consistently, so
 the team subgraph is a tree) and re-scored with the literal Definitions
@@ -24,10 +34,11 @@ the team subgraph is a tree) and re-scored with the literal Definitions
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from bisect import insort
 from collections.abc import Iterable, Sequence
 
+from .. import obs
 from ..expertise.network import ExpertNetwork
 from ..graph.adjacency import Graph
 from ..graph.dijkstra import dijkstra, reconstruct_path
@@ -78,14 +89,8 @@ class GreedyTeamFinder:
         Tradeoff parameters of Definitions 4 and 6.
     oracle_kind:
         ``"pll"`` (2-hop cover, the paper's choice) or ``"dijkstra"``.
-    batch_queries:
-        When true (default), each (root, skill) sweep issues one batched
-        ``distances_from`` call instead of per-candidate point lookups.
-        Scores — and therefore teams — are identical either way; the
-        point-query path remains for oracles without a batch API and as
-        the reference in the equivalence tests.
     root_candidates:
-        Optional restriction of the root loop (Algorithm 1 line 3); by
+        Optional restriction of the roots (Algorithm 1 line 3); by
         default every expert is tried, as in the paper.
     scales:
         Normalization constants; derived from the network when omitted.
@@ -104,7 +109,6 @@ class GreedyTeamFinder:
         sa_mode: SaMode = "per_skill",
         oracle: DistanceOracle | None = None,
         search_graph: Graph | None = None,
-        batch_queries: bool = True,
     ) -> None:
         if objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {objective!r}; expected {OBJECTIVES}")
@@ -130,9 +134,6 @@ class GreedyTeamFinder:
             oracle
             if oracle is not None
             else build_oracle(self._search_graph, oracle_kind)
-        )
-        self._batch_queries = batch_queries and hasattr(
-            self._oracle, "distances_from"
         )
         self._roots = (
             list(root_candidates)
@@ -162,59 +163,73 @@ class GreedyTeamFinder:
         )
 
     # ------------------------------------------------------------------
-    # scoring
+    # the holder-first sweep (Algorithm 1)
     # ------------------------------------------------------------------
-    def _skill_score(self, root: str, candidate: str) -> float:
-        """The mode-dependent score of assigning ``candidate`` from ``root``."""
-        return self._score_from_distance(
-            self._oracle.distance(root, candidate), candidate
-        )
+    def _scores(self, holder: str, roots: Sequence[str]) -> list[float]:
+        """The mode-dependent score of ``holder`` from every root.
 
-    def _score_from_distance(self, dist: float, candidate: str) -> float:
-        """Combine an oracle distance into the mode-dependent score.
-
-        Shared by the point-query and batched paths so both compute
-        bit-identical floats (the equivalence tests compare whole teams).
+        One ``distances_from(holder, roots)`` call stands in for one
+        ``DIST(root, holder)`` per root (the module docstring says why
+        the floats agree); the operation order matches the scalar
+        formulas there.
         """
-        if dist == _INF:
-            return _INF
+        dists = self._oracle.distances_from(holder, roots)
         if self.objective == "cc":
-            return dist
-        corrected = dist - self.gamma * self.evaluator.node_cost(candidate)
+            return [dists[r] for r in roots]
+        node = self.evaluator.node_cost(holder)
+        reduced = self.gamma * node
         if self.objective in ("ca", "ca-cc"):
-            return corrected
-        # sa-ca-cc (Section 3.2.3)
-        node = self.evaluator.node_cost(candidate)
-        return (1.0 - self.lam) * corrected + self.lam * node
+            return [dists[r] - reduced for r in roots]  # inf stays inf
+        # sa-ca-cc (Section 3.2.3); inf is kept explicitly because
+        # (1 - lam) * inf is nan at lam = 1.
+        keep, weighted = 1.0 - self.lam, self.lam * node
+        return [
+            _INF if (d := dists[r]) == _INF else keep * (d - reduced) + weighted
+            for r in roots
+        ]
 
-    def _best_holder(
-        self, root: str, candidates: Sequence[str]
-    ) -> tuple[str | None, float]:
-        """Best (holder, score) for one skill from ``root``.
+    def _sweep(
+        self, skills: Sequence[str], roots: Sequence[str]
+    ) -> tuple[list[float], dict[str, list[str | None]]]:
+        """Greedy cost of every root and its best holder per skill.
 
-        ``candidates`` must be sorted: ties on score keep the
-        lexicographically smallest holder in both query modes.  The
-        batched mode fetches every root -> candidate distance in one
-        ``distances_from`` call (one label-array hoist, memoized per
-        root) instead of ``len(candidates)`` point lookups.
+        Holder-first: one distance pass per holder of each required
+        skill, not one per root.  Holders are visited in sorted order
+        and a root keeps a holder only on a strictly smaller score, so
+        ties go to the lexicographically smallest holder.  A root that
+        holds the skill takes it at score zero (Section 3.2.2).  Totals
+        add up per root in skill order; ``inf`` marks a root some skill
+        is unreachable from.
         """
-        best_expert, best_score = None, _INF
-        if self._batch_queries:
-            dists = self._oracle.distances_from(root, candidates)
-            for candidate in candidates:
-                score = self._score_from_distance(dists[candidate], candidate)
-                if score < best_score:
-                    best_expert, best_score = candidate, score
-        else:
-            for candidate in candidates:
-                score = self._skill_score(root, candidate)
-                if score < best_score:
-                    best_expert, best_score = candidate, score
-        return best_expert, best_score
+        candidates = {
+            s: sorted(self.network.experts_with_skill(s)) for s in skills
+        }
+        totals = [0.0] * len(roots)
+        choices: dict[str, list[str | None]] = {}
+        with obs.span(
+            "solver.sweep",
+            roots=len(roots),
+            skills=len(skills),
+            holders=sum(len(c) for c in candidates.values()),
+        ):
+            for skill in skills:
+                holders = candidates[skill]
+                best = [_INF] * len(roots)
+                chosen: list[str | None] = [None] * len(roots)
+                for holder in holders:
+                    for i, score in enumerate(self._scores(holder, roots)):
+                        if score < best[i]:
+                            best[i] = score
+                            chosen[i] = holder
+                held = set(holders)
+                for i, root in enumerate(roots):
+                    if root in held:
+                        chosen[i] = root
+                    else:
+                        totals[i] += best[i]
+                choices[skill] = chosen
+        return totals, choices
 
-    # ------------------------------------------------------------------
-    # the root loop (Algorithm 1)
-    # ------------------------------------------------------------------
     def find_team(self, project: Iterable[str]) -> Team | None:
         """Best team for ``project``; ``None`` if no root covers it."""
         teams = self.find_top_k(project, k=1)
@@ -223,10 +238,15 @@ class GreedyTeamFinder:
     def find_top_k(self, project: Iterable[str], k: int = 5) -> list[Team]:
         """Top-``k`` distinct teams by greedy cost (Section 3.2.1).
 
-        The bounded list ``L`` is kept over root iterations exactly as the
-        paper describes; a few extra candidates are retained so that
-        deduplication (several roots can induce the same team) still
-        yields ``k`` distinct teams.
+        The paper's bounded list ``L`` becomes a stable selection of the
+        ``capacity`` smallest ``(total, root position)`` pairs.  Every
+        score is non-negative (on ``G'``, ``DIST(root, v)`` includes the
+        last edge's ``gamma * a'(v)`` and rounding is monotone), so
+        partial totals never decrease and the paper's early exit only
+        drops roots that could never enter ``L``: the selection keeps
+        exactly the roots ``L`` keeps.  A few extra candidates are
+        retained so that deduplication (several roots can induce the
+        same team) still yields ``k`` distinct teams.
         """
         if k < 1:
             raise ValueError("k must be positive")
@@ -234,51 +254,27 @@ class GreedyTeamFinder:
         if not skills:
             raise ValueError("project must require at least one skill")
         self.network.skill_index.require_coverable(skills)
-        candidates = {
-            s: sorted(self.network.experts_with_skill(s)) for s in skills
-        }
-
+        roots = self._roots
+        totals, choices = self._sweep(skills, roots)
         capacity = max(4 * k, k + 8)
-        # Entries: (greedy_cost, tie, root, {skill: expert})
-        best: list[tuple[float, int, str, dict[str, str]]] = []
-        for tie, root in enumerate(self._roots):
-            total = 0.0
-            assignment: dict[str, str] = {}
-            feasible = True
-            root_skills = self.network.skills_of(root)
-            bound = best[-1][0] if len(best) >= capacity else _INF
-            for skill in skills:
-                if skill in root_skills:
-                    # Root holds the skill: zero score, assigned to root.
-                    assignment[skill] = root
-                    continue
-                best_expert, best_score = self._best_holder(
-                    root, candidates[skill]
-                )
-                if best_expert is None:
-                    feasible = False
-                    break
-                assignment[skill] = best_expert
-                total += best_score
-                if total >= bound:
-                    feasible = False  # cannot enter the bounded list
-                    break
-            if not feasible:
-                continue
-            insort(best, (total, tie, root, assignment), key=lambda e: (e[0], e[1]))
-            if len(best) > capacity:
-                best.pop()
+        best = heapq.nsmallest(
+            capacity,
+            (i for i, total in enumerate(totals) if total < _INF),
+            key=lambda i: (totals[i], i),
+        )
 
         teams: list[Team] = []
         seen: set = set()
-        for _, _, root, assignment in best:
-            team = self._materialize(root, assignment)
-            if team.key() in seen:
-                continue
-            seen.add(team.key())
-            teams.append(team)
-            if len(teams) == k:
-                break
+        with obs.span("solver.materialize", candidates=len(best)):
+            for i in best:
+                assignment = {skill: choices[skill][i] for skill in skills}
+                team = self._materialize(roots[i], assignment)
+                if team.key() in seen:
+                    continue
+                seen.add(team.key())
+                teams.append(team)
+                if len(teams) == k:
+                    break
         return teams
 
     def team_from_root(self, root: str, project: Iterable[str]) -> Team | None:
@@ -288,17 +284,10 @@ class GreedyTeamFinder:
         Exposed for tests and for the qualitative Figure 6 experiment.
         """
         skills = sorted(set(project))
-        assignment: dict[str, str] = {}
-        root_skills = self.network.skills_of(root)
-        for skill in skills:
-            if skill in root_skills:
-                assignment[skill] = root
-                continue
-            holders = sorted(self.network.experts_with_skill(skill))
-            best_expert, _ = self._best_holder(root, holders)
-            if best_expert is None:
-                return None
-            assignment[skill] = best_expert
+        totals, choices = self._sweep(skills, [root])
+        if totals[0] == _INF:
+            return None
+        assignment = {skill: choices[skill][0] for skill in skills}
         return self._materialize(root, assignment)
 
     # ------------------------------------------------------------------
@@ -313,8 +302,10 @@ class GreedyTeamFinder:
         come from the *original* network, so evaluation sees real
         communication costs.
         """
-        holders = set(assignment.values())
-        dist, parent = dijkstra(self._search_graph, root, targets=list(holders))
+        # Assignment order, never set order: the tree's edge order fixes
+        # the last bit of every sum over it.
+        holders = list(dict.fromkeys(assignment.values()))
+        _, parent = dijkstra(self._search_graph, root, targets=holders)
         tree = Graph()
         tree.add_node(root)
         for holder in holders:

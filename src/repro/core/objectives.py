@@ -106,14 +106,18 @@ class TeamEvaluator:
         return sum(self.edge_cost(w) for _, _, w in team.tree.edges())
 
     def ca(self, team: Team) -> float:
-        """Connector authority: sum of a' over non-skill-holder members."""
-        return sum(self.node_cost(c) for c in team.connectors)
+        """Connector authority: sum of a' over non-skill-holder members.
+
+        Set-valued sums run in sorted order, so the last bit never
+        depends on the process's string hash seed.
+        """
+        return sum(self.node_cost(c) for c in sorted(team.connectors))
 
     def sa(self, team: Team) -> float:
         """Skill-holder authority (see ``sa_mode`` in the module docstring)."""
         if self.sa_mode == "per_skill":
             return sum(self.node_cost(c) for c in team.assignments.values())
-        return sum(self.node_cost(c) for c in team.skill_holders)
+        return sum(self.node_cost(c) for c in sorted(team.skill_holders))
 
     def ca_cc(self, team: Team) -> float:
         """Definition 4: ``gamma * CA + (1 - gamma) * CC``."""

@@ -96,8 +96,8 @@ class RarestFirstSolver:
         return self._materialize(best_anchor, best_assignment)
 
     def _materialize(self, anchor: str, assignment: dict[str, str]) -> Team:
-        holders = set(assignment.values())
-        _, parent = dijkstra(self.network.graph, anchor, targets=list(holders))
+        holders = list(dict.fromkeys(assignment.values()))
+        _, parent = dijkstra(self.network.graph, anchor, targets=holders)
         tree = Graph()
         tree.add_node(anchor)
         for holder in holders:

@@ -12,10 +12,10 @@ implementations are provided:
   sorted label arrays.
 
 Both satisfy :class:`DistanceOracle`, including its *batch* entry points
-``distances_from`` / ``distances_many``: the greedy root sweep issues one
-batched root -> holders query per skill instead of thousands of point
-lookups, which removes most of the Python-level dispatch overhead from
-the hot path (measured in ``benchmarks/bench_index_build.py``).  The
+``distances_from`` / ``distances_many``: the greedy sweep issues one
+batched holder -> roots query per skill holder instead of thousands of
+point lookups, which removes most of the Python-level dispatch overhead
+from the hot path.  The
 ablation benchmark ``benchmarks/bench_ablation_oracle.py`` swaps one
 implementation for the other.
 
@@ -100,9 +100,9 @@ class DijkstraOracle:
     """Lazy per-source Dijkstra with memoized shortest-path trees.
 
     ``max_cached_sources`` bounds memory: the cache evicts in FIFO order
-    once more than that many distinct sources have been queried (Algorithm
-    1 iterates every node as a root, which on large graphs would otherwise
-    retain ``O(n^2)`` distances).
+    once more than that many distinct sources have been queried (a
+    caller that queries from every node would otherwise retain ``O(n^2)``
+    distances on large graphs).
     """
 
     #: Nothing is precomputed, so graph changes are absorbed by simply

@@ -616,8 +616,8 @@ class PrunedLandmarkLabeling:
     ) -> dict[Node, float]:
         """Batched ``{target: distance}`` from one source (memoized).
 
-        The hot loops of Algorithm 1 sweep one root against many skill
-        holders; this entry point answers the whole sweep through the
+        The hot loop of Algorithm 1 sweeps one skill holder against
+        every root; this entry point answers the whole sweep through the
         active kernel.  With flat labels the source row is scattered
         into a dense rank-indexed vector once and each target costs one
         indexed gather per label entry (``kernel="flat-py"``); with
@@ -627,8 +627,8 @@ class PrunedLandmarkLabeling:
         keeps the per-target merge join.  All kernels minimize the same
         IEEE-754 sums, so their results are bit-identical; all memoize
         per source in a bounded FIFO cache, so repeated sweeps from the
-        same root (top-k search, lambda sweeps) cost one dict probe per
-        target.
+        same holder (later requests, lambda sweeps) cost one dict probe
+        per target.
 
         Instrumented at batch granularity: each call lands in the
         ``kernel_queries_<k>`` / ``kernel_targets_<k>`` /

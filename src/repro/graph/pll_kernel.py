@@ -17,7 +17,7 @@ runtime* in the exact on-disk layout:
   ``frombytes`` memcpy with no per-entry work.
 
 Two batched distance kernels answer "one source against many targets",
-the shape of every solver hot path (greedy root sweeps, Steiner
+the shape of every solver hot path (greedy holder sweeps, Steiner
 refinement, replacement):
 
 * :meth:`FlatLabelStore.batch_row_mins` — stdlib: scatter the source

@@ -204,9 +204,11 @@ def dreyfus_wagner(
     edges: set[tuple[Node, Node]] = set()
     _reconstruct(full, root, choice, base_parents, others, edges)
     tree = Graph()
-    for node in {root, *others}:
+    # Insertion order fixes the tree's edge order, and so the last bit of
+    # any sum over it: never iterate a set here.
+    for node in dict.fromkeys((root, *others)):
         tree.add_node(node, **graph.node_data(node))
-    for u, v in edges:
+    for u, v in sorted(edges, key=repr):
         tree.add_edge(u, v, weight=graph.weight(u, v))
     for node in tree.nodes():
         tree.node_data(node).update(graph.node_data(node))

@@ -1,4 +1,4 @@
-"""Batch distance API, per-root cache, and the batched PLL build.
+"""Batch distance API, per-source cache, and the batched PLL build.
 
 Three equivalences are pinned down here:
 
@@ -6,15 +6,13 @@ Three equivalences are pinned down here:
   and with plain Dijkstra ground truth, on both oracle kinds;
 * the doubling batch schedule and the classic ``batch_size=1`` build both
   answer exact distances and paths;
-* the greedy solver returns identical teams through the batched and the
-  point-query paths.
+* the Steiner closure answers the same through an oracle as without one.
 """
 
 import random
 
 import pytest
 
-from repro.core.greedy import GreedyTeamFinder
 from repro.graph import (
     DijkstraOracle,
     DistanceOracle,
@@ -128,22 +126,6 @@ def test_invalid_build_parameters():
 # ----------------------------------------------------------------------
 # batched consumers
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("objective", ["cc", "sa-ca-cc"])
-def test_greedy_batched_equals_point_queries(objective):
-    network = make_random_network(random.Random(11), n=24, p=0.3)
-    project = ["a", "b", "c"]
-    batched = GreedyTeamFinder(network, objective=objective)
-    point = GreedyTeamFinder(network, objective=objective, batch_queries=False)
-    assert batched._batch_queries and not point._batch_queries
-    teams_b = batched.find_top_k(project, k=3)
-    teams_p = point.find_top_k(project, k=3)
-    assert [t.key() for t in teams_b] == [t.key() for t in teams_p]
-    for tb, tp in zip(teams_b, teams_p):
-        assert tb.assignments == tp.assignments
-        assert tb.root == tp.root
-        assert sorted(tb.tree.edges()) == sorted(tp.tree.edges())
-
-
 def test_steiner_oracle_closure_matches_plain():
     g = _random_graph(13, n=40)
     terminals = sorted(g.nodes(), key=repr)[:5]
