@@ -23,8 +23,10 @@ distance-decreasing edge changes stream into oracles that advertise
 tree invalidation for the Dijkstra oracle), skill-only edits reuse the
 index untouched, and everything else — removals, weight increases,
 authority changes under an authority-folded graph — falls back to a
-fresh build.  :meth:`TeamFormationEngine.apply_updates` runs the same
-reconciliation eagerly and reports what happened per cached index.
+fresh build.  A sharded index on an unchanged shard plan narrows that
+fallback to the shards the delta touched.
+:meth:`TeamFormationEngine.apply_updates` runs the same reconciliation
+eagerly and reports what happened per cached index.
 
 ``scales`` are normalization constants and deliberately stay frozen at
 engine construction so scores remain comparable across mutations; call
@@ -112,6 +114,15 @@ from .registry import Solver, SolverRegistry, UnknownSolverError
 from .solvers import DEFAULT_REGISTRY
 
 __all__ = ["TeamFormationEngine"]
+
+
+def _keeps_topology(delta: tuple[NetworkMutation, ...] | None) -> bool:
+    """Whether ``delta`` leaves the node set and the edge set unchanged."""
+    return delta is not None and all(
+        m.op in ("update_skills", "update_h_index")
+        or (m.op == "add_collaboration" and m.old_weight is not None)
+        for m in delta
+    )
 
 
 class TeamFormationEngine:
@@ -391,14 +402,26 @@ class TeamFormationEngine:
         fold search graphs are pure reweightings of it, so one plan is
         valid for every flavor at a given version.  Deterministic and
         seed-independent, hence identical in every process serving the
-        same network.
+        same network.  A plan depends only on the node order and the
+        edge set, so when every mutation since the newest memoized
+        version leaves both alone (skill and authority edits, reweights
+        of existing edges) that version's plan object is reused.
         """
         version = self._network.version
         with self._mutex:
             plan = self._shard_plans.get(version)
+            prev_version = max(
+                (v for v in self._shard_plans if v < version), default=None
+            )
+            prev_plan = self._shard_plans.get(prev_version)
         if plan is not None:
             return plan
-        plan = plan_shards(self._network.graph, self.shards)
+        if prev_plan is not None and _keeps_topology(
+            self._network.mutations_since(prev_version)
+        ):
+            plan = prev_plan
+        else:
+            plan = plan_shards(self._network.graph, self.shards)
         with self._mutex:
             while len(self._shard_plans) >= 4:
                 self._shard_plans.pop(next(iter(self._shard_plans)), None)
@@ -515,27 +538,33 @@ class TeamFormationEngine:
         """Pop the freshest stale entry for ``base`` (with its version).
 
         Every stale key for ``base`` is dropped from the cache (the
-        claimed one feeds the upgrade; older siblings are dead weight).
+        claimed one feeds the upgrade; older siblings are dead weight),
+        and so is every stale key for the same flavor under another
+        shard plan: a plan change makes those unservable for good.
         Must be called under ``_mutex``.
         """
-        stale = [key for key in cache if key[:-1] == base]
-        if not stale:
-            return None
-        newest = max(stale, key=lambda key: key[-1])
-        entry = cache[newest]
+        core = strip_shard_tag(base)
+        stale = [key for key in cache if strip_shard_tag(key[:-1]) == core]
+        claimable = [key for key in stale if key[:-1] == base]
+        claimed = None
+        if claimable:
+            newest = max(claimable, key=lambda key: key[-1])
+            claimed = cache[newest], newest[-1]
         for key in stale:
             del cache[key]
-        return entry, newest[-1]
+        return claimed
 
     def _build_entry(self, base: tuple) -> tuple[Graph, DistanceOracle]:
         """Build the search graph + oracle for ``base`` from scratch."""
         graph = self._derive_graph(base, self.network)
         plan = None
         if base is not strip_shard_tag(base):
-            # Sharded base: partition the derived graph itself (same
-            # topology as the raw graph at this version, so the plan —
-            # and its hash — match the one the key was tagged with).
-            plan = plan_shards(graph, base[-1][1])
+            # Sharded base: the derived graph has the raw graph's
+            # topology, so the memoized plan for this version applies
+            # when its hash is the one the key was tagged with.
+            plan = self._shard_plan()
+            if plan.plan_hash != base[-1][2]:
+                plan = plan_shards(graph, base[-1][1])
         return graph, build_oracle(graph, base[0], shard_plan=plan)
 
     def _derive_graph(self, base: tuple, network: ExpertNetwork) -> Graph:
@@ -569,24 +598,73 @@ class TeamFormationEngine:
         new cache entry.  Returns ``None`` when the caller must rebuild
         (journal truncated, unsupported mutation, or a non-incremental
         oracle).
+
+        A sharded oracle goes the same way when the delta is
+        absorbable; otherwise, as long as the plan is unchanged, its
+        clone rebuilds only the shards the delta touched (see
+        :meth:`_touched_shards`).  Stale keys carry the plan hash, so a
+        claimed sharded entry always shares the current plan.
         """
         (graph, oracle), stale_version = stale
         delta = self.network.mutations_since(stale_version)
         if delta is None:
             return None
         steps = self._plan_incremental(delta, base, oracle)
+        rebuild: list[int] | None = None
         if steps is None:
-            return None
+            if not isinstance(oracle, ShardedPLLOracle):
+                return None
+            rebuild = self._touched_shards(delta, base, oracle.plan)
+            if rebuild is None:
+                return None
+            steps = []
         obs.global_registry().counter("engine_journal_replays").inc()
-        with obs.span("engine.journal_replay", steps=len(steps)):
-            graph, oracle = self._clone_entry(graph, oracle, base)
+        with obs.span("engine.journal_replay", steps=len(steps)) as span:
+            if rebuild is None:
+                graph, oracle = self._clone_entry(graph, oracle, base)
+            else:
+                graph = self._derive_graph(base, self.network)
+                oracle = oracle.clone(graph)
+                oracle.rebuild_shards(rebuild)
             for step in steps:
                 if step[0] == "node":
                     oracle.add_node(step[1])
                 else:
                     _, u, v, weight = step
                     oracle.insert_edge(u, v, weight)
+            if isinstance(oracle, ShardedPLLOracle):
+                span.set_attribute("shards", len(oracle.replaced_shards))
         return graph, oracle
+
+    def _touched_shards(
+        self, delta: tuple[NetworkMutation, ...], base: tuple, plan: ShardPlan
+    ) -> list[int] | None:
+        """The shards whose subgraph ``delta`` changes on ``base``'s graph.
+
+        An edge change lies in every shard holding both endpoints; an
+        authority edit under the fold reweights the edges around that
+        expert, all of which lie in shards holding it; skill edits touch
+        nothing.  ``None`` when a node was added or removed (the plan
+        changed with the node set, so only a full rebuild is exact).
+        """
+        fold = base[1] == "fold"
+        touched: set[int] = set()
+        for mutation in delta:
+            op = mutation.op
+            if op == "update_skills":
+                continue
+            if op == "update_h_index":
+                if fold:
+                    touched.update(plan.shards_of(mutation.expert_id))
+                continue
+            if op not in ("add_collaboration", "remove_collaboration"):
+                return None
+            shared = set(plan.shards_of(mutation.u))
+            shared.intersection_update(plan.shards_of(mutation.v))
+            if not shared:
+                return None
+            touched |= shared
+        return sorted(touched)
 
     def _clone_entry(
         self, graph: Graph, oracle: DistanceOracle, base: tuple
@@ -602,7 +680,7 @@ class TeamFormationEngine:
         state before the label replay tightens the index to match.
         """
         cloned_graph = graph.copy()
-        if isinstance(oracle, PrunedLandmarkLabeling):
+        if isinstance(oracle, (PrunedLandmarkLabeling, ShardedPLLOracle)):
             return cloned_graph, oracle.clone(cloned_graph)
         if isinstance(oracle, DijkstraOracle):
             return cloned_graph, DijkstraOracle(cloned_graph)
@@ -688,12 +766,21 @@ class TeamFormationEngine:
         window) and reports what it cost::
 
             {"cached": n, "incremental": n, "rebuilt": n}
+
+        A sharded index that absorbed the delta shard by shard counts
+        as ``"incremental"`` even when some of its shards were rebuilt;
+        only a whole-index build (a new plan, a truncated journal)
+        counts as ``"rebuilt"``.
         """
         report = {"cached": 0, "incremental": 0, "rebuilt": 0}
         with self._rw.write_locked():
             for cache in (self._search_cache, self._raw_oracles):
                 with self._mutex:
-                    bases = {key[:-1] for key in cache}
+                    cores = {strip_shard_tag(key[:-1]) for key in cache}
+                # Re-tag under the current plan: a key tagged with an
+                # older plan would otherwise be rebuilt under its stale
+                # tag, where no solve ever looks.
+                bases = {self._tag_sharded(core) for core in cores}
                 for base in bases:
                     _, how = self._entry(cache, base, self._max_cached_oracles)
                     report[how] += 1

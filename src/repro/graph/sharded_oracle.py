@@ -35,6 +35,21 @@ always included — a bin-packed shard may hold several disconnected
 regions, so co-residency alone does not imply the local answer is
 finite, let alone minimal.
 
+Mutations are absorbed per shard, on the same plan.  Every edge lies
+inside each shard that holds both of its endpoints, so an edge change
+only touches those shards.  :meth:`ShardedPLLOracle.insert_edge`
+replays an insertion or weight decrease into each of them with the
+monolithic index's resumed pruned Dijkstras;
+:meth:`ShardedPLLOracle.rebuild_shards` rebuilds just the named shards
+from a new graph (weight increases, removals, authority edits under a
+fold).  Either way the boundary summary is then recomputed.  Both run
+on a :meth:`ShardedPLLOracle.clone`, which shares every shard with the
+original and replaces a shard only on its first write, so the original
+— possibly still serving a solve — is never mutated.  A change that
+alters the plan itself (a new node, an edge that bypasses a cut vertex)
+is outside this scheme: the caller builds a fresh oracle over the new
+plan.
+
 Determinism: shard subgraphs inherit the parent graph's insertion order,
 per-shard builds use the standard deterministic batch schedule,
 summary edges resolve ties toward the lowest shard index, and
@@ -65,16 +80,20 @@ class ShardedPLLOracle:
     Answers are exactly those of a monolithic
     :class:`PrunedLandmarkLabeling` over the same graph (bit-identical
     on networks whose edge-weight sums are exact in IEEE-754, e.g. the
-    dyadic test networks; always equal as real numbers).  Mutations are
-    not absorbed incrementally — ``supports_incremental`` is ``False``
-    and the engine's version-keyed cache rebuilds on change.
+    dyadic test networks; always equal as real numbers).
+
+    Mutations that keep the plan are absorbed per shard (see the module
+    docstring): :meth:`insert_edge` for insertions and weight decreases,
+    :meth:`rebuild_shards` for everything else, both meant for a
+    :meth:`clone` so the original stays untouched.  :meth:`add_node` is
+    refused — a new node changes the plan.
     """
 
     #: FIFO bound on memoized full distance maps (mirrors the per-source
     #: memo discipline of the monolithic index).
     MAX_CACHED_SOURCES = PrunedLandmarkLabeling.MAX_CACHED_SOURCES
 
-    supports_incremental = False
+    supports_incremental = True
 
     def __init__(
         self,
@@ -90,15 +109,13 @@ class ShardedPLLOracle:
                 raise GraphError("ShardedPLLOracle needs a plan or a shard count")
             plan = plan_shards(graph, shards)
         self._init_topology(graph, plan)
-        self._shards: list[PrunedLandmarkLabeling] = []
-        for i, sub in enumerate(self._subgraphs):
-            pll = PrunedLandmarkLabeling(
-                sub, kernel=kernel, order_strategy=order_strategy
-            )
-            pll._obs_shard = i
-            self._shards.append(pll)
+        self._order_strategy = order_strategy
+        self._shards = [
+            self._build_shard(i, kernel) for i in range(plan.num_shards)
+        ]
         self._build_boundary_summary()
         self._init_instruments()
+        self._publish_label_bytes(range(plan.num_shards))
 
     def _init_topology(self, graph: Graph, plan: ShardPlan) -> None:
         if set(graph.nodes()) != {
@@ -108,7 +125,6 @@ class ShardedPLLOracle:
         self._graph = graph
         self.plan = plan
         self._node_set = set(graph.nodes())
-        self._subgraphs = [graph.subgraph(shard) for shard in plan.shards]
         boundary_set = set(plan.boundary)
         self._shard_nodes = [list(shard) for shard in plan.shards]
         self._shard_boundary = [
@@ -117,12 +133,27 @@ class ShardedPLLOracle:
         ]
         self._bindex = {node: i for i, node in enumerate(plan.boundary)}
 
+    def _build_shard(self, i: int, kernel: str) -> PrunedLandmarkLabeling:
+        """A fresh PLL over shard ``i``'s induced subgraph."""
+        pll = PrunedLandmarkLabeling(
+            self._graph.subgraph(self.plan.shards[i]),
+            kernel=kernel,
+            order_strategy=self._order_strategy,
+        )
+        pll._obs_shard = i
+        return pll
+
     def _init_instruments(self) -> None:
         self._source_cache: dict[Node, dict[Node, float]] = {}
+        #: Shards this copy replaced since it was cloned (copy-on-write).
+        self._owned: set[int] = set()
         registry = obs.global_registry()
         self._local_counter = registry.counter("shard_queries_local")
         self._cross_counter = registry.counter("shard_queries_cross")
-        for i in range(len(self._shards)):
+
+    def _publish_label_bytes(self, shards: Iterable[int]) -> None:
+        registry = obs.global_registry()
+        for i in shards:
             registry.gauge(f"shard_label_bytes_{i}").set(self.label_bytes(i))
 
     # ------------------------------------------------------------------
@@ -374,20 +405,107 @@ class ShardedPLLOracle:
         return path
 
     # ------------------------------------------------------------------
-    # mutation protocol (rebuild-on-change)
+    # mutation protocol (per shard, same plan)
     # ------------------------------------------------------------------
+    def clone(self, graph: Graph) -> "ShardedPLLOracle":
+        """A copy-on-write copy of this oracle over ``graph``.
+
+        ``graph`` is the graph the copy should own: this oracle's graph
+        with the pending delta applied or about to be, over the same
+        node set and plan.  Every shard PLL, the topology and the
+        boundary summary are shared; :meth:`insert_edge` and
+        :meth:`rebuild_shards` replace a shard on the copy the first
+        time they write to it, and recompute the summary into fresh
+        objects.  The original is never mutated, so a solve still
+        holding it keeps its answers.  No PLL is built.
+        """
+        if graph.num_nodes != len(self._node_set):
+            raise GraphError("a sharded clone must keep the plan's node set")
+        index = type(self).__new__(type(self))
+        index._graph = graph
+        index.plan = self.plan
+        index._node_set = self._node_set
+        index._shard_nodes = self._shard_nodes
+        index._shard_boundary = self._shard_boundary
+        index._bindex = self._bindex
+        index._order_strategy = self._order_strategy
+        index._shards = list(self._shards)
+        index._summary_adj = self._summary_adj
+        index._B = self._B
+        index._pred = self._pred
+        index._init_instruments()
+        return index
+
+    @property
+    def replaced_shards(self) -> tuple[int, ...]:
+        """Shards this copy no longer shares with the oracle it was cloned from."""
+        return tuple(sorted(self._owned))
+
+    def _shards_holding(self, u: Node, v: Node) -> list[int]:
+        """Every shard that holds both ``u`` and ``v`` (so the edge ``{u, v}``)."""
+        of_v = self.plan.shards_of(v)
+        shards = [s for s in self.plan.shards_of(u) if s in of_v]
+        if not shards:
+            raise GraphError(
+                f"edge ({u!r}, {v!r}) lies in no shard; the plan must change"
+            )
+        return shards
+
     def insert_edge(self, u: Node, v: Node, weight: float) -> None:
-        """Refused: sharded indexes are rebuilt, never patched in place."""
-        raise GraphError(
-            "sharded oracle is rebuilt on mutation; incremental updates "
-            "are unsupported"
-        )
+        """Absorb a new edge ``{u, v}`` (or a weight decrease) per shard.
+
+        Replays the edge with :meth:`PrunedLandmarkLabeling.insert_edge`
+        into every shard holding both endpoints (copying each shard
+        first if it is still shared), then recomputes the boundary
+        summary.  Raises :class:`GraphError` when no shard holds both
+        endpoints: such an edge changes the plan, so the oracle must be
+        rebuilt over the new one.
+        """
+        shards = self._shards_holding(u, v)
+        for s in shards:
+            self._writable(s).insert_edge(u, v, weight)
+        self._graph.add_edge(u, v, weight=weight)
+        self._after_update(shards, "shard_updates_incremental")
+
+    def rebuild_shards(self, shards: Iterable[int]) -> None:
+        """Rebuild the named shards from this oracle's graph.
+
+        For changes a 2-hop cover cannot absorb in place (weight
+        increases, removals, reweighted folds) on an unchanged plan:
+        each named shard gets a fresh PLL over its induced subgraph of
+        the current graph, the rest are kept, and the boundary summary
+        is recomputed.  Exact because a shard's subgraph is all its
+        labels depend on.
+        """
+        shards = sorted(set(shards))
+        for s in shards:
+            kernel = self._shards[s].kernel
+            self._shards[s] = self._build_shard(s, kernel)
+            self._owned.add(s)
+        self._after_update(shards, "shard_updates_rebuilt")
+
+    def _writable(self, s: int) -> PrunedLandmarkLabeling:
+        """Shard ``s``'s PLL, copied first if still shared with the original."""
+        if s not in self._owned:
+            pll = self._shards[s].clone()
+            pll._obs_shard = s
+            self._shards[s] = pll
+            self._owned.add(s)
+        return self._shards[s]
+
+    def _after_update(self, shards: list[int], counter: str) -> None:
+        """Recompute what depends on the updated ``shards``."""
+        if any(len(self._shard_boundary[s]) >= 2 for s in shards):
+            # Only shards with two or more boundary nodes feed the summary.
+            self._build_boundary_summary()
+        self._source_cache.clear()
+        self._publish_label_bytes(shards)
+        obs.global_registry().counter(counter).inc(len(shards))
 
     def add_node(self, node: Node) -> None:
-        """Refused: sharded indexes are rebuilt, never patched in place."""
+        """Refused: a new node changes the shard plan, so callers rebuild."""
         raise GraphError(
-            "sharded oracle is rebuilt on mutation; incremental updates "
-            "are unsupported"
+            "a new node changes the shard plan; build a new sharded oracle"
         )
 
     def invalidate(self) -> None:
@@ -453,6 +571,7 @@ class ShardedPLLOracle:
         """
         self = cls.__new__(cls)
         self._init_topology(graph, plan)
+        self._order_strategy = "degree"
         states = list(shard_labels)
         if len(states) != plan.num_shards:
             raise GraphError(
@@ -465,8 +584,10 @@ class ShardedPLLOracle:
                 "snapshot boundary nodes disagree with the shard plan"
             )
         self._shards = []
-        for i, (sub, state) in enumerate(zip(self._subgraphs, states)):
-            pll = PrunedLandmarkLabeling.from_flat_labels(sub, state)
+        for i, (shard, state) in enumerate(zip(plan.shards, states)):
+            pll = PrunedLandmarkLabeling.from_flat_labels(
+                graph.subgraph(shard), state
+            )
             pll._obs_shard = i
             self._shards.append(pll)
         nb = len(plan.boundary)
@@ -483,4 +604,5 @@ class ShardedPLLOracle:
         self._summary_adj = adj
         self._apsp()
         self._init_instruments()
+        self._publish_label_bytes(range(plan.num_shards))
         return self

@@ -263,3 +263,34 @@ def test_sharded_snapshot_bytes_round_trip(tmp_path):
     loaded = TeamFormationEngine.from_snapshot_bytes(blob)
     assert pll_build_count() == before
     assert loaded.solve(request).canonical_json() == expected
+
+
+@pytest.mark.parametrize("k", (2, 4))
+def test_snapshot_after_per_shard_updates_round_trips(tmp_path, k):
+    """Shards that absorbed inserts or were rebuilt alone persist as-is."""
+    engine = TeamFormationEngine(build_dyadic_network(), shards=k)
+    requests = [request_for("greedy"), request_for("rarest_first")]
+    for request in requests:
+        engine.solve(request)
+    with engine.mutate() as network:
+        network.add_collaboration("a4", "a6", weight=1.0)  # decrease: absorbed
+        network.add_collaboration("b1", "b3", weight=0.5)  # decrease: absorbed
+        network.update_h_index("a5", 64)  # fold: rebuilds a5's shards
+    before = pll_build_count()
+    assert engine.apply_updates() == {"cached": 0, "incremental": 2, "rebuilt": 0}
+    fold = engine.search_oracle("sa-ca-cc", 0.5)
+    plan = fold.plan
+    touched = set(plan.shards_of("a5"))
+    for u, v in (("a4", "a6"), ("b1", "b3")):
+        touched |= set(plan.shards_of(u)) & set(plan.shards_of(v))
+    # Only the fold index rebuilds, and only the shards the burst touched.
+    assert 1 <= pll_build_count() - before <= len(touched)
+    assert fold.replaced_shards and engine.raw_oracle().replaced_shards
+    expected = [engine.solve(request).canonical_json() for request in requests]
+
+    path = engine.save_snapshot(tmp_path / "store")
+    before = pll_build_count()
+    loaded = TeamFormationEngine.from_snapshot(path)
+    assert pll_build_count() == before, "restore must not build any PLL"
+    assert [loaded.solve(r).canonical_json() for r in requests] == expected
+    assert pll_build_count() == before, "solve after restore must stay warm"

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.graph import Graph, GraphError
+from repro.graph.distance import DijkstraOracle
 from repro.graph.partition import plan_shards
 from repro.graph.pll import PrunedLandmarkLabeling, pll_build_count
 from repro.graph.sharded_oracle import ShardedPLLOracle
@@ -111,14 +112,116 @@ def test_self_distance_is_zero_and_disconnected_is_inf():
     assert math.isinf(sharded.distance("a", "island"))
 
 
-def test_mutation_is_refused():
-    g = Graph.from_edges([("a", "b")])
+def two_block_graph() -> Graph:
+    """Two 4-cycles joined at cut vertex ``m`` (dyadic weights).
+
+    ``plan_shards(g, 2)`` cuts at ``m``: shard 0 holds ``a*`` + ``m``,
+    shard 1 holds ``m`` + ``b*``.
+    """
+    return Graph.from_edges(
+        [
+            ("a0", "a1", 0.5),
+            ("a1", "a2", 0.25),
+            ("a2", "m", 1.0),
+            ("m", "a0", 0.125),
+            ("m", "b0", 0.5),
+            ("b0", "b1", 2.0),
+            ("b1", "b2", 0.25),
+            ("b2", "m", 1.0),
+        ]
+    )
+
+
+def assert_exact(oracle, g: Graph) -> None:
+    """Every distance equals a plain Dijkstra's over ``g`` (dyadic: ==)."""
+    reference = DijkstraOracle(g)
+    nodes = list(g.nodes())
+    for u in nodes:
+        assert oracle.distances_from(u, nodes) == reference.distances_from(
+            u, nodes
+        )
+
+
+def test_in_shard_insert_is_absorbed_exactly():
+    g = two_block_graph()
     sharded = ShardedPLLOracle(g, shards=2)
-    assert sharded.supports_incremental is False
+    assert sharded.supports_incremental is True
+    assert sharded.plan.shards_of("a0") != sharded.plan.shards_of("b0")
+    before = pll_build_count()
+    updated = sharded.clone(g.copy())
+    assert_exact(updated, g)  # memoize some answers before the write
+    updated.insert_edge("a0", "a2", 0.125)  # new in-shard chord
+    updated.insert_edge("b0", "b1", 0.5)  # weight decrease
+    assert pll_build_count() == before
+    g2 = g.copy()
+    g2.add_edge("a0", "a2", weight=0.125)
+    g2.add_edge("b0", "b1", weight=0.5)
+    assert_exact(updated, g2)
+    # The original is untouched and still answers the old graph.
+    assert_exact(sharded, g)
+    for i in range(2):
+        assert updated.shard_index(i) is not sharded.shard_index(i)
+    assert updated.replaced_shards == (0, 1)
+
+
+def test_insert_between_boundary_nodes_refreshes_the_summary():
+    # Three blocks chained at m and n: the middle shard holds both
+    # boundary nodes, so its local m-n distance is a summary edge.
+    g = Graph.from_edges(
+        [
+            ("a0", "a1", 0.5), ("a1", "m", 0.25), ("m", "a0", 1.0),
+            ("m", "c0", 2.0), ("c0", "n", 2.0), ("n", "c1", 1.0), ("c1", "m", 4.0),
+            ("n", "b0", 0.5), ("b0", "b1", 0.25), ("b1", "n", 1.0),
+        ]
+    )
+    sharded = ShardedPLLOracle(g, shards=3)
+    assert set(sharded.plan.boundary) == {"m", "n"}
+    updated = sharded.clone(g.copy())
+    updated.insert_edge("m", "n", 0.5)  # chord across the middle block
+    g2 = g.copy()
+    g2.add_edge("m", "n", weight=0.5)
+    assert_exact(updated, g2)
+    assert updated.distance("a0", "b0") == 1.75  # 0.75 + 0.5 + 0.5
+    assert_exact(sharded, g)
+
+
+def test_clone_shares_shards_until_written():
+    g = two_block_graph()
+    sharded = ShardedPLLOracle(g, shards=2)
+    updated = sharded.clone(g.copy())
+    a_shard = sharded.plan.home_shard("a1")
+    updated.insert_edge("a1", "m", 0.25)
+    assert updated.replaced_shards == (a_shard,)
+    b_shard = 1 - a_shard
+    assert updated.shard_index(b_shard) is sharded.shard_index(b_shard)
+
+
+def test_rebuild_shards_absorbs_a_weight_increase():
+    g = two_block_graph()
+    sharded = ShardedPLLOracle(g, shards=2)
+    g2 = g.copy()
+    g2.add_edge("m", "a0", weight=4.0)  # increase: not PLL-absorbable
+    touched = [
+        s for s in sharded.plan.shards_of("m") if s in sharded.plan.shards_of("a0")
+    ]
+    before = pll_build_count()
+    updated = sharded.clone(g2)
+    updated.rebuild_shards(touched)
+    assert pll_build_count() == before + len(touched) == before + 1
+    assert_exact(updated, g2)
+    assert_exact(sharded, g)
+    other = 1 - touched[0]
+    assert updated.shard_index(other) is sharded.shard_index(other)
+
+
+def test_edge_across_shards_is_refused():
+    g = two_block_graph()
+    sharded = ShardedPLLOracle(g, shards=2)
+    updated = sharded.clone(g.copy())
     with pytest.raises(GraphError):
-        sharded.insert_edge("a", "b", 0.1)
+        updated.insert_edge("a1", "b1", 0.25)  # bypasses the cut vertex
     with pytest.raises(GraphError):
-        sharded.add_node("c")
+        updated.add_node("c")
 
 
 def test_plan_must_cover_the_graph():
