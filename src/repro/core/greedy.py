@@ -16,15 +16,32 @@ In every authority-aware mode, a root that itself holds the skill is
 assigned it at score zero (Section 3.2.2).  ``DIST`` queries go through a
 pluggable distance oracle — the paper's 2-hop cover by default.
 
-The sweep runs holder-first: one ``distances_from(holder, roots)`` call
-per holder of a required skill scores that holder from every root at
-once, instead of one distance pass per root.  The search graph is
-undirected, so ``DIST(root, v) = DIST(v, root)``; the 2-hop cover sums
-the same hub pairs in both directions, so with the default oracle the
-scores, the totals and the teams are bit-identical to the paper's
-root-by-root loop.  Dijkstra and sharded oracles add edge weights in a
-direction-dependent order: equal as real numbers, bit-identical when
-edge-weight sums are exact.
+The sweep runs holder-first: each holder of a required skill is scored
+from every root at once, instead of one distance pass per root.  The
+search graph is undirected, so ``DIST(root, v) = DIST(v, root)``; the
+2-hop cover sums the same hub pairs in both directions, so with the
+default oracle the scores, the totals and the teams are bit-identical to
+the paper's root-by-root loop.  Dijkstra and sharded oracles add edge
+weights in a direction-dependent order: equal as real numbers,
+bit-identical when edge-weight sums are exact.
+
+With numpy, one skill is one ``distance_matrix(holders, roots)`` of
+holders x roots, scored and reduced with array operations.  It is
+bit-identical to the stdlib sweep, which runs one ``distances_from``
+pass and one score list per holder:
+
+* the scores are the same elementwise IEEE-754 operations in the same
+  order (numpy fuses none of them), with ``inf`` kept by ``where``;
+* ``argmin`` over the holder axis returns the *first* minimum, which is
+  the stdlib sweep's strict-``<`` fold over sorted holders;
+* a root that holds the skill adds ``0.0`` to its total instead of
+  skipping the addition, which changes nothing because a total starts
+  at ``0.0`` and is never ``-0.0``;
+* the cheapest roots come from a stable ``argsort`` of the totals, the
+  order ``heapq.nsmallest`` gives on ``(total, position)``.
+
+The stdlib sweep runs only where numpy is missing; the differential
+tests use it as the reference for the matrix sweep.
 
 Final teams are *materialized* from a single Dijkstra tree rooted at the
 winning root (all root-to-holder paths then share edges consistently, so
@@ -36,7 +53,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .. import obs
 from ..expertise.network import ExpertNetwork
@@ -46,6 +63,11 @@ from ..graph.distance import DistanceOracle, build_oracle
 from .objectives import ObjectiveScales, SaMode, TeamEvaluator
 from .team import Team
 from .transform import authority_fold_transform
+
+try:  # the matrix sweep; without numpy the stdlib sweep runs
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy-less environments
+    _np = None
 
 __all__ = ["GreedyTeamFinder", "OBJECTIVES", "search_graph_for"]
 
@@ -171,7 +193,7 @@ class GreedyTeamFinder:
         One ``distances_from(holder, roots)`` call stands in for one
         ``DIST(root, holder)`` per root (the module docstring says why
         the floats agree); the operation order matches the scalar
-        formulas there.
+        formulas there.  The stdlib sweep's scorer.
         """
         dists = self._oracle.distances_from(holder, roots)
         if self.objective == "cc":
@@ -188,47 +210,128 @@ class GreedyTeamFinder:
             for r in roots
         ]
 
-    def _sweep(
-        self, skills: Sequence[str], roots: Sequence[str]
-    ) -> tuple[list[float], dict[str, list[str | None]]]:
-        """Greedy cost of every root and its best holder per skill.
+    def _score_matrix(self, holders: Sequence[str], roots: Sequence[str]):
+        """Every holder's (row) score from every root (column).
 
-        Holder-first: one distance pass per holder of each required
-        skill, not one per root.  Holders are visited in sorted order
-        and a root keeps a holder only on a strictly smaller score, so
-        ties go to the lexicographically smallest holder.  A root that
-        holds the skill takes it at score zero (Section 3.2.2).  Totals
-        add up per root in skill order; ``inf`` marks a root some skill
-        is unreachable from.
+        The matrix sweep's scorer: the same elementwise IEEE-754
+        operations, in the same order, as :meth:`_scores`, so row ``j``
+        equals ``_scores(holders[j], roots)`` bit for bit.
+        """
+        dists = self._oracle.distance_matrix(holders, roots)
+        if self.objective == "cc":
+            return dists
+        node = _np.array([self.evaluator.node_cost(h) for h in holders])[:, None]
+        reduced = self.gamma * node
+        if self.objective in ("ca", "ca-cc"):
+            return dists - reduced  # inf stays inf
+        keep, weighted = 1.0 - self.lam, self.lam * node
+        with _np.errstate(invalid="ignore"):  # 0 * inf at lam = 1
+            return _np.where(dists == _INF, _INF, keep * (dists - reduced) + weighted)
+
+    def _sweep(
+        self, skills: Sequence[str], roots: Sequence[str], limit: int
+    ) -> tuple[list[int], Callable[[int], dict[str, str]]]:
+        """The ``limit`` cheapest roots and their best holder per skill.
+
+        Returns the positions in ``roots`` of at most ``limit`` roots
+        with a finite greedy cost, cheapest first and ties by position,
+        plus a function giving one such position's ``{skill: holder}``
+        assignment.  Holders are visited in sorted order and the first
+        smallest score wins, so ties go to the lexicographically
+        smallest holder.  A root that holds the skill takes it at score
+        zero (Section 3.2.2).  Totals add up per root in skill order.
         """
         candidates = {
             s: sorted(self.network.experts_with_skill(s)) for s in skills
         }
-        totals = [0.0] * len(roots)
-        choices: dict[str, list[str | None]] = {}
         with obs.span(
             "solver.sweep",
             roots=len(roots),
             skills=len(skills),
             holders=sum(len(c) for c in candidates.values()),
         ):
-            for skill in skills:
-                holders = candidates[skill]
-                best = [_INF] * len(roots)
-                chosen: list[str | None] = [None] * len(roots)
-                for holder in holders:
-                    for i, score in enumerate(self._scores(holder, roots)):
-                        if score < best[i]:
-                            best[i] = score
-                            chosen[i] = holder
-                held = set(holders)
-                for i, root in enumerate(roots):
-                    if root in held:
-                        chosen[i] = root
-                    else:
-                        totals[i] += best[i]
-                choices[skill] = chosen
-        return totals, choices
+            if _np is None:
+                return self._sweep_lists(skills, roots, candidates, limit)
+            return self._sweep_matrix(skills, roots, candidates, limit)
+
+    def _sweep_matrix(
+        self,
+        skills: Sequence[str],
+        roots: Sequence[str],
+        candidates: dict[str, list[str]],
+        limit: int,
+    ) -> tuple[list[int], Callable[[int], dict[str, str]]]:
+        """One holders x roots score matrix per skill (numpy).
+
+        ``argmin`` over the holder axis returns the first minimum, the
+        strict-``<`` fold of :meth:`_sweep_lists`; a column whose
+        minimum is ``inf`` leaves its root's total ``inf``.  Held roots
+        add ``0.0``, exact because a total is never ``-0.0``.
+        """
+        positions: dict[str, list[int]] = {}  # roots may repeat
+        for i, root in enumerate(roots):
+            positions.setdefault(root, []).append(i)
+        columns = _np.arange(len(roots))
+        totals = _np.zeros(len(roots))
+        picks: dict[str, tuple[list[str], object]] = {}
+
+        def assignment(i: int) -> dict[str, str]:
+            return {skill: holders[pick[i]] for skill, (holders, pick) in picks.items()}
+
+        for skill in skills:
+            holders = candidates[skill]
+            if not holders:
+                return [], assignment  # no root can cover the skill
+            scores = self._score_matrix(holders, roots)
+            pick = scores.argmin(axis=0)
+            best = scores[pick, columns]
+            held = [(i, j) for j, h in enumerate(holders) for i in positions.get(h, ())]
+            if held:
+                at, holder_rows = zip(*held)
+                best[list(at)] = 0.0
+                pick[list(at)] = holder_rows
+            totals += best
+            picks[skill] = (holders, pick)
+        finite = int(_np.count_nonzero(totals < _INF))
+        ranked = _np.argsort(totals, kind="stable")[: min(limit, finite)]
+        return ranked.tolist(), assignment
+
+    def _sweep_lists(
+        self,
+        skills: Sequence[str],
+        roots: Sequence[str],
+        candidates: dict[str, list[str]],
+        limit: int,
+    ) -> tuple[list[int], Callable[[int], dict[str, str]]]:
+        """One ``distances_from`` pass and score list per holder (stdlib).
+
+        The sweep on installs without numpy, and the reference the
+        matrix sweep is tested against.
+        """
+        totals = [0.0] * len(roots)
+        choices: dict[str, list[str | None]] = {}
+        for skill in skills:
+            holders = candidates[skill]
+            best = [_INF] * len(roots)
+            chosen: list[str | None] = [None] * len(roots)
+            for holder in holders:
+                for i, score in enumerate(self._scores(holder, roots)):
+                    if score < best[i]:
+                        best[i] = score
+                        chosen[i] = holder
+            held = set(holders)
+            for i, root in enumerate(roots):
+                if root in held:
+                    chosen[i] = root
+                else:
+                    totals[i] += best[i]
+            choices[skill] = chosen
+        ranked = heapq.nsmallest(
+            limit,
+            (i for i, total in enumerate(totals) if total < _INF),
+            key=lambda i: (totals[i], i),
+        )
+        return ranked, lambda i: {skill: choices[skill][i] for skill in skills}
 
     def find_team(self, project: Iterable[str]) -> Team | None:
         """Best team for ``project``; ``None`` if no root covers it."""
@@ -255,20 +358,14 @@ class GreedyTeamFinder:
             raise ValueError("project must require at least one skill")
         self.network.skill_index.require_coverable(skills)
         roots = self._roots
-        totals, choices = self._sweep(skills, roots)
         capacity = max(4 * k, k + 8)
-        best = heapq.nsmallest(
-            capacity,
-            (i for i, total in enumerate(totals) if total < _INF),
-            key=lambda i: (totals[i], i),
-        )
+        best, assignment = self._sweep(skills, roots, capacity)
 
         teams: list[Team] = []
         seen: set = set()
         with obs.span("solver.materialize", candidates=len(best)):
             for i in best:
-                assignment = {skill: choices[skill][i] for skill in skills}
-                team = self._materialize(roots[i], assignment)
+                team = self._materialize(roots[i], assignment(i))
                 if team.key() in seen:
                     continue
                 seen.add(team.key())
@@ -284,11 +381,10 @@ class GreedyTeamFinder:
         Exposed for tests and for the qualitative Figure 6 experiment.
         """
         skills = sorted(set(project))
-        totals, choices = self._sweep(skills, [root])
-        if totals[0] == _INF:
+        best, assignment = self._sweep(skills, [root], 1)
+        if not best:
             return None
-        assignment = {skill: choices[skill][0] for skill in skills}
-        return self._materialize(root, assignment)
+        return self._materialize(root, assignment(0))
 
     # ------------------------------------------------------------------
     # materialization

@@ -12,11 +12,16 @@ implementations are provided:
   sorted label arrays.
 
 Both satisfy :class:`DistanceOracle`, including its *batch* entry points
-``distances_from`` / ``distances_many``: the greedy sweep issues one
-batched holder -> roots query per skill holder instead of thousands of
-point lookups, which removes most of the Python-level dispatch overhead
-from the hot path.  The
-ablation benchmark ``benchmarks/bench_ablation_oracle.py`` swaps one
+``distances_from`` / ``distances_many`` / ``distance_matrix``.  The
+greedy sweep asks for one ``distance_matrix(holders, roots)`` per
+required skill: a float64 ndarray of every holder against every root.
+The 2-hop cover memoizes each source's distance to every node as a
+numpy vector, so a row is one fancy-index gather and the sweep scores a
+whole skill with array operations instead of Python loops.  Oracles
+without such a vector (Dijkstra, the sharded and the stdlib PLL
+kernels) stack ``distances_from`` rows.  ``distance_matrix`` needs
+numpy; without it the sweep uses ``distances_from``.  The ablation
+benchmark ``benchmarks/bench_ablation_oracle.py`` swaps one
 implementation for the other.
 
 Both oracles are also *dynamic* for distance-decreasing changes and
@@ -42,13 +47,18 @@ from .. import obs
 from .adjacency import Graph, GraphError, Node
 from .dijkstra import dijkstra, reconstruct_path
 from .fifo import evict_for_insert
-from .pll import PrunedLandmarkLabeling, all_pairs_distances
+from .pll import (
+    PrunedLandmarkLabeling,
+    all_pairs_distances,
+    distance_matrix_from_rows,
+)
 
 __all__ = [
     "DistanceOracle",
     "DijkstraOracle",
     "build_oracle",
 ]
+
 
 @runtime_checkable
 class DistanceOracle(Protocol):
@@ -77,6 +87,15 @@ class DistanceOracle(Protocol):
         self, sources: Iterable[Node], targets: Iterable[Node]
     ) -> dict[tuple[Node, Node], float]:
         """Batched ``{(source, target): distance}`` over two node sets."""
+        ...
+
+    def distance_matrix(self, sources: Iterable[Node], targets: Iterable[Node]):
+        """``(len(sources), len(targets))`` float64 ndarray (needs numpy).
+
+        Row ``i`` equals ``distances_from(sources[i], targets)`` bit for
+        bit, in target order; repeated sources or targets repeat rows or
+        columns, and a source among the targets reads ``0.0``.
+        """
         ...
 
     def path(self, u: Node, v: Node) -> list[Node]:
@@ -150,6 +169,10 @@ class DijkstraOracle:
     ) -> dict[tuple[Node, Node], float]:
         """All-pairs ``{(source, target): distance}`` over two node sets."""
         return all_pairs_distances(self, sources, targets)
+
+    def distance_matrix(self, sources: Iterable[Node], targets: Iterable[Node]):
+        """``distances_from`` rows stacked into a float64 ndarray."""
+        return distance_matrix_from_rows(self, sources, targets)
 
     def path(self, u: Node, v: Node) -> list[Node]:
         """One exact shortest path ``[u, ..., v]`` from the cached tree."""

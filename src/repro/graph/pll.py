@@ -88,10 +88,16 @@ from .pll_kernel import (
     numpy_available,
 )
 
+try:  # optional: distance matrices and the memoized numpy vectors
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy-less environments
+    _np = None
+
 __all__ = [
     "PrunedLandmarkLabeling",
     "MAX_BATCH",
     "all_pairs_distances",
+    "distance_matrix_from_rows",
     "default_landmark_order",
     "pll_build_count",
 ]
@@ -114,6 +120,7 @@ def _kernel_instruments(effective: str) -> tuple:
             registry.counter(f"kernel_seconds_{effective}"),
         )
     return instruments
+
 
 #: Monotone count of completed PLL index constructions in this process.
 #: Oracle-reuse tests snapshot it before a sweep and assert how many
@@ -140,6 +147,26 @@ def all_pairs_distances(oracle, sources, targets):
         for target, d in oracle.distances_from(source, target_list).items():
             out[(source, target)] = d
     return out
+
+
+def distance_matrix_from_rows(oracle, sources, targets):
+    """``distance_matrix`` stacked from one ``distances_from`` row per source.
+
+    Returns a ``(len(sources), len(targets))`` float64 ndarray whose row
+    ``i`` lists ``sources[i]``'s distances in target order (a repeated
+    target repeats its column).  The oracles without a memoized numpy
+    vector per source share this fallback, as they share
+    :func:`all_pairs_distances`; it needs numpy all the same.
+    """
+    if _np is None:
+        raise RuntimeError("distance_matrix needs numpy")
+    target_list = list(targets)
+    rows = []
+    for source in sources:
+        dists = oracle.distances_from(source, target_list)
+        rows.append([dists[target] for target in target_list])
+    return _np.array(rows, dtype=_np.float64).reshape(len(rows), len(target_list))
+
 
 _INF = float("inf")
 
@@ -288,6 +315,12 @@ class PrunedLandmarkLabeling:
     #: to the monolithic behavior without touching every constructor).
     _obs_shard: int | None = None
 
+    #: ``(targets, index array)`` of the last :meth:`distance_matrix`
+    #: call: the greedy sweep asks for every skill against the same
+    #: roots.  Valid for the index's lifetime, because a node's landmark
+    #: rank never changes once assigned (``add_node`` appends).
+    _target_cols: tuple | None = None
+
     def __init__(
         self,
         graph: Graph,
@@ -320,7 +353,7 @@ class PrunedLandmarkLabeling:
             u: [] for u in graph.nodes()
         }
         self._flat: FlatLabelStore | None = None
-        self._source_cache: dict[Node, dict[Node, float] | list[float]] = {}
+        self._source_cache: dict[Node, dict[Node, float] | _np.ndarray] = {}
         #: How many in-place updates this index has absorbed since its
         #: build (diagnostics; also arms the path-reconstruction check).
         self.incremental_updates = 0
@@ -616,19 +649,22 @@ class PrunedLandmarkLabeling:
     ) -> dict[Node, float]:
         """Batched ``{target: distance}`` from one source (memoized).
 
-        The hot loop of Algorithm 1 sweeps one skill holder against
-        every root; this entry point answers the whole sweep through the
-        active kernel.  With flat labels the source row is scattered
-        into a dense rank-indexed vector once and each target costs one
-        indexed gather per label entry (``kernel="flat-py"``); with
-        numpy the whole store is reduced in a single vectorized pass
-        and the source's full distance vector is memoized
+        Callers that sweep one source against many targets (Steiner
+        refinement, replacement, the sharded oracle's local phase) go
+        through this entry point, answered by the active kernel.  With
+        flat labels the source row is scattered into a dense
+        rank-indexed vector once and each target costs one indexed
+        gather per label entry (``kernel="flat-py"``); with numpy the
+        whole store is reduced in a single vectorized pass, the
+        source's full distance vector is memoized as a float64 ndarray,
+        and the answer is one fancy-index gather plus ``.tolist()``
         (``kernel="flat"``).  The legacy ``kernel="dict"`` baseline
         keeps the per-target merge join.  All kernels minimize the same
-        IEEE-754 sums, so their results are bit-identical; all memoize
-        per source in a bounded FIFO cache, so repeated sweeps from the
-        same holder (later requests, lambda sweeps) cost one dict probe
-        per target.
+        IEEE-754 sums, so their results are bit-identical plain Python
+        floats; all memoize per source in a bounded FIFO cache, so
+        repeated sweeps from the same source (later requests, lambda
+        sweeps) skip the kernel.  A target equal to the source reads
+        ``0.0``.
 
         Instrumented at batch granularity: each call lands in the
         ``kernel_queries_<k>`` / ``kernel_targets_<k>`` /
@@ -656,22 +692,72 @@ class PrunedLandmarkLabeling:
                 effective = "flat-py"
                 out = self._distances_from_flat(flat, source, targets)
         elapsed = time.perf_counter() - start
-        queries, targets_c, seconds = _kernel_instruments(effective)
-        queries.inc()
-        targets_c.inc(len(out))
-        seconds.inc(elapsed)
+        self._count(effective, 1, len(out), elapsed)
         if cold:
-            if self._obs_shard is None:
-                obs.record("pll.query", elapsed, kernel=effective, targets=len(out))
-            else:
-                obs.record(
-                    "pll.query",
-                    elapsed,
-                    kernel=effective,
-                    targets=len(out),
-                    shard=self._obs_shard,
-                )
+            self._record_query(effective, elapsed, len(out))
         return out
+
+    def distance_matrix(self, sources: Iterable[Node], targets: Iterable[Node]):
+        """``(len(sources), len(targets))`` float64 distance matrix.
+
+        Row ``i`` is ``sources[i]``'s memoized distance vector gathered
+        at the targets' rows, so the greedy sweep scores every holder of
+        a skill against every root without building a dict per holder.
+        Row for row it is bit-identical to :meth:`distances_from` (the
+        same memoized floats; a source among the targets reads
+        ``0.0``).  Kernels without a numpy vector stack
+        :meth:`distances_from` rows instead
+        (:func:`distance_matrix_from_rows`).
+
+        Instrumented like :meth:`distances_from`: one kernel query per
+        row, ``S * T`` targets, and a ``pll.query`` span per cold source.
+        """
+        if not self._use_numpy:
+            return distance_matrix_from_rows(self, sources, targets)
+        start = time.perf_counter()
+        flat = self._flat
+        if flat is None:
+            flat = self._freeze()
+        source_list = list(sources)
+        key = tuple(targets)
+        last = self._target_cols
+        if last is not None and last[0] == key:
+            cols = last[1]
+        else:
+            cols = self._rows_of(key)
+            self._target_cols = (key, cols)
+        out = _np.empty((len(source_list), len(cols)))
+        for i, source in enumerate(source_list):
+            row_start = time.perf_counter()
+            cold = source not in self._source_cache
+            out[i] = self._vector(flat, source)[cols]
+            if cold:
+                elapsed = time.perf_counter() - row_start
+                self._record_query("numpy", elapsed, len(cols))
+        self._count("numpy", len(source_list), out.size, time.perf_counter() - start)
+        return out
+
+    def _count(
+        self, effective: str, queries: int, targets: int, elapsed: float
+    ) -> None:
+        """Land one batch in the ``kernel_*_<effective>`` counters."""
+        queries_c, targets_c, seconds = _kernel_instruments(effective)
+        queries_c.inc(queries)
+        targets_c.inc(targets)
+        seconds.inc(elapsed)
+
+    def _record_query(self, effective: str, elapsed: float, targets: int) -> None:
+        """A ``pll.query`` span for one cold source (kept only when traced)."""
+        if self._obs_shard is None:
+            obs.record("pll.query", elapsed, kernel=effective, targets=targets)
+        else:
+            obs.record(
+                "pll.query",
+                elapsed,
+                kernel=effective,
+                targets=targets,
+                shard=self._obs_shard,
+            )
 
     def _distances_from_rows(
         self, source: Node, targets: Iterable[Node]
@@ -744,30 +830,44 @@ class PrunedLandmarkLabeling:
     def _distances_from_vector(
         self, flat: FlatLabelStore, source: Node, targets: Iterable[Node]
     ) -> dict[Node, float]:
-        """Numpy kernel: memoize the source's full distance vector (one
-        vectorized pass over the whole store), then answer each target
-        with a list index."""
-        rank = self._rank
-        src_row = rank.get(source)
-        if src_row is None:
-            raise GraphError(f"node {source!r} not in index")
+        """Numpy kernel: one fancy-index gather from the source's
+        memoized distance vector.  ``.tolist()`` converts binary64
+        exactly; plain floats keep downstream arithmetic and JSON
+        numpy-free."""
+        target_list = list(targets)
+        gathered = self._vector(flat, source)[self._rows_of(target_list)]
+        return dict(zip(target_list, gathered.tolist()))
+
+    def _vector(self, flat: FlatLabelStore, source: Node):
+        """``source``'s distance to every row, as a read-only float64
+        ndarray memoized per source (one store pass when cold).
+
+        The source's own row reads ``0.0``: its label holds itself at
+        distance ``0.0``, or a hub at distance ``0.0`` that pruned it.
+        Weights are non-negative and every label distance is a sum
+        starting from ``0.0``, so no entry is ``-0.0``.
+        """
         vector = self._source_cache.get(source)
         if vector is None:
+            src_row = self._rank.get(source)
+            if src_row is None:
+                raise GraphError(f"node {source!r} not in index")
             evict_for_insert(self._source_cache, self.MAX_CACHED_SOURCES)
-            # .tolist() converts binary64 exactly; plain floats keep all
-            # downstream arithmetic and JSON numpy-free.
-            vector = flat.row_mins_numpy(src_row).tolist()
+            vector = flat.row_mins_numpy(src_row)
+            vector.flags.writeable = False
             self._source_cache[source] = vector
-        out: dict[Node, float] = {}
-        for target in targets:
-            if target == source:
-                out[target] = 0.0
-                continue
-            row = rank.get(target)
-            if row is None:
-                raise GraphError(f"node {target!r} not in index")
-            out[target] = vector[row]
-        return out
+        return vector
+
+    def _rows_of(self, targets: Iterable[Node]):
+        """Landmark ranks of ``targets`` as an ``intp`` index array."""
+        rank = self._rank
+        try:
+            rows = [rank[target] for target in targets]
+        except KeyError as exc:
+            raise GraphError(f"node {exc.args[0]!r} not in index") from None
+        cols = _np.array(rows, dtype=_np.intp)
+        cols.flags.writeable = False
+        return cols
 
     def distances_many(
         self, sources: Iterable[Node], targets: Iterable[Node]

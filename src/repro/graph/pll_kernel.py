@@ -41,7 +41,6 @@ re-freeze lazily on the next batched query.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from collections.abc import Iterable, Sequence
 
@@ -265,12 +264,23 @@ class FlatLabelStore:
         return out
 
     def _np_views(self) -> tuple:
-        """Zero-copy numpy views over the columns (cached; store is
-        immutable so the views can never go stale)."""
+        """Numpy views over the columns (cached; the store is immutable,
+        so they can never go stale).
+
+        Distances and offsets are zero-copy views.  Hub ranks are cast
+        once to ``intp``, numpy's native index type: a ``uint32`` index
+        would be converted again on every fancy-index gather.  That
+        costs ``8 * T`` bytes per store; the on-disk column stays u32.
+        The ranks are bounds-checked here, once, so the per-pass gather
+        can skip its own check.
+        """
         views = self._np_cols
         if views is None:
+            ranks = _np.frombuffer(self.ranks, dtype=_np.uint32).astype(_np.intp)
+            if len(ranks) and int(ranks.max()) >= self.num_rows:
+                raise ValueError("label store holds a hub rank past its last row")
             views = self._np_cols = (
-                _np.frombuffer(self.ranks, dtype=_np.uint32),
+                ranks,
                 _np.frombuffer(self.dists, dtype=_np.float64),
                 _np.frombuffer(self.offsets, dtype=_np.int64),
             )
@@ -298,8 +308,9 @@ class FlatLabelStore:
         # a bare ``sums`` would reject) without shifting any segment
         # boundary; it can never win a min.
         sums = _np.empty(total + 1)
-        sums[:total] = dense[np_ranks]
-        sums[:total] += np_dists
+        gathered = sums[:total]
+        _np.take(dense, np_ranks, out=gathered, mode="clip")  # checked in views
+        gathered += np_dists
         sums[total] = _np.inf
         starts = np_offsets[:-1]
         # ``reduceat`` returns a bogus single element for an empty row

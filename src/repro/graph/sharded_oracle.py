@@ -67,7 +67,11 @@ from .. import obs
 from .adjacency import Graph, GraphError, Node
 from .fifo import evict_for_insert
 from .partition import ShardPlan, plan_shards
-from .pll import PrunedLandmarkLabeling, all_pairs_distances
+from .pll import (
+    PrunedLandmarkLabeling,
+    all_pairs_distances,
+    distance_matrix_from_rows,
+)
 
 __all__ = ["ShardedPLLOracle"]
 
@@ -317,6 +321,10 @@ class ShardedPLLOracle:
     ) -> dict[tuple[Node, Node], float]:
         """All-pairs ``{(source, target): distance}`` over two node sets."""
         return all_pairs_distances(self, sources, targets)
+
+    def distance_matrix(self, sources: Iterable[Node], targets: Iterable[Node]):
+        """``distances_from`` rows stacked into a float64 ndarray."""
+        return distance_matrix_from_rows(self, sources, targets)
 
     # ------------------------------------------------------------------
     # path reconstruction

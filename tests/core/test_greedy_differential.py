@@ -1,12 +1,15 @@
-"""The holder-first greedy sweep against the root-first reference loop.
+"""Both holder-first greedy sweeps against the root-first reference loop.
 
 :class:`~tests.core.greedy_reference.RootFirstReference` answers each
-``DIST(root, holder)`` with a point query, root by root; the production
-sweep answers ``DIST(holder, root)`` for every root in one batched call.
-The 2-hop cover sums the same hub pairs in both directions, so teams
-must agree bit for bit on every kernel: same root, same assignment,
-same node and edge insertion order, and the same canonical JSON through
-the engine.
+``DIST(root, holder)`` with a point query, root by root.  The production
+sweeps answer ``DIST(holder, root)`` for every root at once: the matrix
+sweep scores one holders x roots numpy matrix per skill, and the stdlib
+sweep (forced here by hiding numpy from :mod:`repro.core.greedy`) one
+score list per holder.  The 2-hop cover sums the same hub pairs in both
+directions, so every score must agree bit for bit with the reference on
+every kernel, and so must the teams: same root, same assignment, same
+node and edge insertion order, and the same canonical JSON through the
+engine.
 
 Dijkstra and sharded distances add edge weights in a direction-dependent
 order, so they are compared on *dyadic* networks (powers-of-two weights
@@ -15,8 +18,10 @@ and h-indexes, dyadic gamma), where every path sum is exact.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass
+from unittest import mock
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,11 +33,27 @@ from repro.core import GreedyTeamFinder, ObjectiveScales
 from repro.core.greedy import OBJECTIVES, search_graph_for
 from repro.expertise import Expert, ExpertNetwork
 from repro.graph.pll import PrunedLandmarkLabeling
+from repro.graph.pll_kernel import numpy_available
 
 from .greedy_reference import ReferenceGreedyAdapter, RootFirstReference
 
 SKILLS = ("a", "b", "c", "d", "e")
 KERNELS = ("flat", "flat-py", "dict")
+#: Every sweep this process can run; numpy-less installs have only one.
+SWEEPS = ("matrix", "lists") if numpy_available() else ("lists",)
+
+
+def forced(sweep: str):
+    """Run the greedy sweep under test: ``"lists"`` hides numpy from the
+    module, which is what a numpy-less install sees."""
+    if sweep == "lists":
+        return mock.patch("repro.core.greedy._np", None)
+    return contextlib.nullcontext()
+
+
+def bits(scores) -> list[str]:
+    """Scores as exact hex strings (``==`` would equate -0.0 and 0.0)."""
+    return [float(score).hex() for score in scores]
 
 
 def random_network(
@@ -154,11 +175,10 @@ def canonical(
     return engine.solve(case.request(oracle_kind)).canonical_json()
 
 
-@given(case=cases(), kernel=st.sampled_from(KERNELS))
-def test_sweep_matches_reference_on_every_kernel(case, kernel):
+def finder_for(case: Case, kernel: str = "flat") -> GreedyTeamFinder:
     scales = ObjectiveScales.from_network(case.network)
     graph = search_graph_for(case.network, case.objective, case.gamma, scales)
-    finder = GreedyTeamFinder(
+    return GreedyTeamFinder(
         case.network,
         objective=case.objective,
         gamma=case.gamma,
@@ -168,32 +188,85 @@ def test_sweep_matches_reference_on_every_kernel(case, kernel):
         oracle=PrunedLandmarkLabeling(graph, kernel=kernel),
         search_graph=graph,
     )
+
+
+def assert_matches_reference(case: Case, finder: GreedyTeamFinder, sweep: str) -> None:
+    reference = RootFirstReference.like(finder)
+    roots = list(case.network.expert_ids())
+    with forced(sweep):
+        teams = finder.find_top_k(case.project, k=case.k)
+        assert teams or case.roots is not None, "core roots cover every project"
+        assert [view(t) for t in teams] == [
+            view(t) for t in reference.find_top_k(case.project, k=case.k)
+        ]
+        for root in roots:
+            assert view(finder.team_from_root(root, case.project)) == view(
+                reference.team_from_root(root, case.project)
+            )
+
+
+@given(case=cases(), kernel=st.sampled_from(KERNELS))
+def test_sweep_matches_reference_on_every_kernel(case, kernel):
+    finder = finder_for(case, kernel)
     reference = RootFirstReference.like(finder)
     roots = list(case.network.expert_ids())
     for skill in case.project:
-        for holder in sorted(case.network.experts_with_skill(skill)):
-            assert finder._scores(holder, roots) == [
-                reference._skill_score(root, holder) for root in roots
-            ]
-    teams = finder.find_top_k(case.project, k=case.k)
-    assert teams or case.roots is not None, "core roots cover every project"
-    assert [view(t) for t in teams] == [
-        view(t) for t in reference.find_top_k(case.project, k=case.k)
+        holders = sorted(case.network.experts_with_skill(skill))
+        expected = [
+            bits(reference._skill_score(root, holder) for root in roots)
+            for holder in holders
+        ]
+        assert [bits(finder._scores(h, roots)) for h in holders] == expected
+        if "matrix" in SWEEPS:
+            matrix = finder._score_matrix(holders, roots)
+            assert [bits(row) for row in matrix] == expected
+    for sweep in SWEEPS:
+        assert_matches_reference(case, finder, sweep)
+
+
+def test_repeated_held_roots_and_unreachable_holders_at_lambda_one():
+    # A chain e00..e03 plus the island e04-e05.  "a" has holders on both
+    # sides, so every root sees an inf score next to finite ones (at
+    # lam = 1, (1 - lam) * inf is nan unless kept as inf).  e00 and e05
+    # are listed twice: a root holding a skill takes it at every
+    # position it occupies.
+    experts = [
+        Expert("e00", skills={"a"}, h_index=4),
+        Expert("e01", skills={"c"}, h_index=1),
+        Expert("e02", skills={"a"}, h_index=16),
+        Expert("e03", skills=set(), h_index=2),
+        Expert("e04", skills={"a", "c"}, h_index=8),
+        Expert("e05", skills={"c"}, h_index=1),
     ]
-    for root in roots:
-        assert view(finder.team_from_root(root, case.project)) == view(
-            reference.team_from_root(root, case.project)
-        )
+    edges = [
+        ("e00", "e01", 0.5),
+        ("e01", "e02", 0.25),
+        ("e02", "e03", 1.0),
+        ("e04", "e05", 0.5),
+    ]
+    network = ExpertNetwork(experts, edges)
+    roots = ("e00", "e03", "e05", "e00", "e01", "e05")
+    for objective in OBJECTIVES:
+        case = Case(network, objective, 0.6, 1.0, 3, ("a", "c"), roots)
+        for sweep in SWEEPS:
+            assert_matches_reference(case, finder_for(case), sweep)
+            with forced(sweep):
+                team = finder_for(case).team_from_root("e00", case.project)
+            assert team.assignments["a"] == "e00"
 
 
 @given(case=cases())
 def test_engine_canonical_json_matches_reference(case):
-    assert canonical(case, reference=False) == canonical(case, reference=True)
+    expected = canonical(case, reference=True)
+    for sweep in SWEEPS:
+        with forced(sweep):
+            assert canonical(case, reference=False) == expected
 
 
 @given(case=cases(dyadic=True), mode=st.sampled_from(("dijkstra", "shards")))
 def test_dijkstra_and_sharded_match_reference_on_dyadic_networks(case, mode):
     kwargs = {"oracle_kind": "dijkstra"} if mode == "dijkstra" else {"shards": 2}
-    assert canonical(case, reference=False, **kwargs) == canonical(
-        case, reference=True, **kwargs
-    )
+    expected = canonical(case, reference=True, **kwargs)
+    for sweep in SWEEPS:
+        with forced(sweep):
+            assert canonical(case, reference=False, **kwargs) == expected

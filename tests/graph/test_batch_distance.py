@@ -1,9 +1,11 @@
 """Batch distance API, per-source cache, and the batched PLL build.
 
-Three equivalences are pinned down here:
+Four equivalences are pinned down here:
 
 * ``distances_from`` / ``distances_many`` agree with point ``distance()``
   and with plain Dijkstra ground truth, on both oracle kinds;
+* ``distance_matrix`` equals ``distances_from`` row for row, bit for
+  bit, on every oracle and kernel, and counts and traces like it;
 * the doubling batch schedule and the classic ``batch_size=1`` build both
   answer exact distances and paths;
 * the Steiner closure answers the same through an oracle as without one.
@@ -13,6 +15,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.graph import (
     DijkstraOracle,
     DistanceOracle,
@@ -23,12 +26,37 @@ from repro.graph import (
     dijkstra,
     mst_steiner_tree,
 )
+from repro.graph.pll_kernel import numpy_available
+from repro.graph.sharded_oracle import ShardedPLLOracle
 
 from ..conftest import make_random_network
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="distance_matrix returns a numpy array"
+)
+
+#: Every oracle and kernel ``distance_matrix`` must agree with.
+MATRIX_ORACLES = ("flat", "flat-py", "dict", "cramped", "dijkstra", "sharded")
 
 
 def _random_graph(seed: int, n: int = 40) -> Graph:
     return make_random_network(random.Random(seed), n=n, p=0.15).graph
+
+
+def _matrix_oracle(name: str, graph: Graph):
+    if name == "dijkstra":
+        return DijkstraOracle(graph)
+    if name == "sharded":
+        return ShardedPLLOracle(graph, shards=3)
+    if name == "cramped":
+        pll = PrunedLandmarkLabeling(graph)
+        pll.MAX_CACHED_SOURCES = 2
+        return pll
+    return PrunedLandmarkLabeling(graph, kernel=name)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
 
 
 # ----------------------------------------------------------------------
@@ -80,6 +108,89 @@ def test_pll_source_cache_is_bounded_and_correct():
         for t in nodes[:10]:
             assert batch[t] == pll.distance(s, t)
     assert len(small_cache._source_cache) <= 2
+
+
+@needs_numpy
+@pytest.mark.parametrize("name", MATRIX_ORACLES)
+def test_distance_matrix_equals_distances_from_bit_for_bit(name):
+    g = _random_graph(6)
+    g.add_edge("island0", "island1", weight=0.5)  # inf entries
+    oracle = _matrix_oracle(name, g)
+    nodes = sorted(g.nodes(), key=repr)
+    # A repeated source and repeated targets; most sources are targets.
+    sources = [*nodes[::4], nodes[0], "island0"]
+    targets = [*nodes[::3], nodes[1], nodes[1], "island1"]
+    matrix = oracle.distance_matrix(sources, targets)
+    assert matrix.shape == (len(sources), len(targets))
+    assert matrix.dtype == "float64"
+    assert float("inf") in matrix and 0.0 in matrix
+    for i, source in enumerate(sources):
+        row = oracle.distances_from(source, targets)
+        assert _hex(matrix[i].tolist()) == _hex(row[t] for t in targets)
+        for j, target in enumerate(targets):
+            if target == source:
+                assert _hex([matrix[i, j]]) == _hex([0.0])
+    assert oracle.distance_matrix([], targets).shape == (0, len(targets))
+    assert oracle.distance_matrix(sources, []).shape == (len(sources), 0)
+
+
+@needs_numpy
+@pytest.mark.parametrize("name", MATRIX_ORACLES)
+def test_distance_matrix_unknown_node_raises(name):
+    g = Graph.from_edges([("a", "b", 1.0), ("b", "c", 2.0)])
+    oracle = _matrix_oracle(name, g)
+    with pytest.raises(GraphError):
+        oracle.distance_matrix(["ghost"], ["a"])
+    with pytest.raises(GraphError):
+        oracle.distance_matrix(["a"], ["b", "ghost"])
+
+
+def _kernel_counters() -> list:
+    registry = obs.global_registry()
+    return [
+        registry.counter(f"kernel_{what}_numpy")
+        for what in ("queries", "targets", "seconds")
+    ]
+
+
+@needs_numpy
+def test_distance_matrix_counts_rows_and_traces_cold_sources():
+    g = _random_graph(7)
+    pll = PrunedLandmarkLabeling(g)
+    nodes = sorted(g.nodes(), key=repr)
+    pll.distances_from(nodes[0], nodes)  # warm: no span below
+    counters = _kernel_counters()
+    before = [c.value for c in counters]
+    with obs.trace("test") as root:
+        pll.distance_matrix(nodes[:3], nodes)
+    queries, targets, seconds = (c.value - b for c, b in zip(counters, before))
+    assert (queries, targets) == (3, 3 * len(nodes))
+    assert seconds > 0
+    assert [child.name for child in root.children] == ["pll.query"] * 2
+    for child in root.children:
+        assert child.attributes == {"kernel": "numpy", "targets": len(nodes)}
+
+
+@needs_numpy
+def test_sharded_distance_matrix_traces_shard_queries():
+    # Two triangles sharing the cut vertex "c": one shard each.
+    g = Graph.from_edges(
+        [
+            ("a", "b", 1.0),
+            ("b", "c", 1.0),
+            ("a", "c", 2.0),
+            ("c", "d", 1.0),
+            ("d", "e", 1.0),
+            ("c", "e", 2.0),
+        ]
+    )
+    sharded = ShardedPLLOracle(g, shards=2)
+    assert sharded.num_shards == 2
+    with obs.trace("test") as root:
+        sharded.distance_matrix(["a", "e"], ["a", "b", "c", "d", "e"])
+    spans = [child for child in root.children if child.name == "pll.query"]
+    assert spans
+    assert {span.attributes["shard"] for span in spans} == {0, 1}
 
 
 def test_protocol_includes_batch_api():

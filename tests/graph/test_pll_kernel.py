@@ -147,6 +147,15 @@ def test_kernels_agree_on_all_empty_store():
     assert_kernels_identical(store, rows)
 
 
+@pytest.mark.skipif(not numpy_available(), reason="numpy kernel only")
+def test_numpy_kernel_rejects_a_hub_rank_past_the_last_row():
+    # The vectorized gather skips numpy's per-call bounds check; the
+    # store checks its ranks once instead.
+    store = make_store([[(0, 0.0)], [(0, 1.0), (2, 0.5)]])
+    with pytest.raises(ValueError, match="hub rank"):
+        store.row_mins_numpy(0)
+
+
 def test_best_hub_rank_picks_minimizing_hub():
     rows = [[(0, 3.0), (1, 0.5)], [(0, 1.0), (1, 0.75)]]
     store = make_store(rows)
