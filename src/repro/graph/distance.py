@@ -9,18 +9,19 @@ implementations are provided:
   graphs.
 * :class:`repro.graph.pll.PrunedLandmarkLabeling` — the paper's 2-hop
   cover; pays an indexing cost once, then answers each query from two
-  sorted label arrays.
+  sorted label rows of one flat store.
 
 Both satisfy :class:`DistanceOracle`, including its *batch* entry points
 ``distances_from`` / ``distances_many`` / ``distance_matrix``.  The
 greedy sweep asks for one ``distance_matrix(holders, roots)`` per
 required skill: a float64 ndarray of every holder against every root.
-The 2-hop cover memoizes each source's distance to every node as a
-numpy vector, so a row is one fancy-index gather and the sweep scores a
-whole skill with array operations instead of Python loops.  Oracles
-without such a vector (Dijkstra, the sharded and the stdlib PLL
-kernels) stack ``distances_from`` rows.  ``distance_matrix`` needs
-numpy; without it the sweep uses ``distances_from``.  The ablation
+When numpy imports, the 2-hop cover memoizes each source's distance to
+every node as a numpy vector, so a row is one fancy-index gather and the
+sweep scores a whole skill with array operations instead of Python
+loops.  Oracles without such a vector (Dijkstra, the sharded oracle)
+stack ``distances_from`` rows.  ``distance_matrix`` needs numpy;
+without it the PLL answers with its stdlib kernel and the sweep uses
+``distances_from``.  The ablation
 benchmark ``benchmarks/bench_ablation_oracle.py`` swaps one
 implementation for the other.
 

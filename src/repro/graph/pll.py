@@ -77,7 +77,6 @@ from collections.abc import Iterable
 
 from .. import obs
 from .adjacency import Graph, GraphError, Node
-from .centrality import betweenness_centrality
 from .dijkstra import shortest_path
 from .fifo import evict_for_insert
 from .pll_kernel import (
@@ -175,12 +174,6 @@ _INF = float("inf")
 #: measured in single-digit percent.
 MAX_BATCH = 64
 
-#: Recognized query kernels: "flat" (flat store, numpy when available),
-#: "flat-py" (flat store, stdlib dense scatter), "dict" (legacy per-node
-#: dict probing — the benchmark baseline).  All bit-identical.
-_KERNELS = ("flat", "flat-py", "dict")
-
-
 def _batch_schedule(n: int, batch_size: int | None) -> list[range]:
     """Rank batches for ``n`` landmarks.
 
@@ -201,29 +194,14 @@ def _batch_schedule(n: int, batch_size: int | None) -> list[range]:
     return batches
 
 
-def default_landmark_order(graph: Graph, strategy: str = "degree") -> list[Node]:
-    """Landmark order for ``graph`` under ``strategy``.
+def default_landmark_order(graph: Graph) -> list[Node]:
+    """Degree-descending landmark order for ``graph``.
 
-    ``"degree"`` (the default everywhere) is the standard 2-hop-cover
-    heuristic: high-degree hubs first cover the most shortest paths and
-    maximize pruning.  ``"centrality"`` ranks by exact betweenness
-    instead — the nodes shortest paths actually run through — which
-    shrinks hub lists further on graphs whose degree and centrality
-    disagree, at the cost of ``n`` full Dijkstras up front (worth it
-    only when the index answers far more queries than it costs to
-    build, which is why it is opt-in).  Both use a deterministic
-    ``repr`` tie-break so builds are reproducible across runs and
-    node-id types.
+    The standard 2-hop-cover heuristic: high-degree hubs first cover the
+    most shortest paths and maximize pruning.  A deterministic ``repr``
+    tie-break keeps builds reproducible across runs and node-id types.
     """
-    if strategy == "degree":
-        return sorted(graph.nodes(), key=lambda n: (-graph.degree(n), repr(n)))
-    if strategy == "centrality":
-        scores = betweenness_centrality(graph)
-        return sorted(
-            graph.nodes(),
-            key=lambda n: (-scores[n], -graph.degree(n), repr(n)),
-        )
-    raise ValueError(f"unknown order strategy {strategy!r}")
+    return sorted(graph.nodes(), key=lambda n: (-graph.degree(n), repr(n)))
 
 
 def _pruned_dijkstra(
@@ -266,7 +244,11 @@ class PrunedLandmarkLabeling:
 
     The index is built once in the constructor; queries never touch the
     graph again except for path reconstruction, which follows stored
-    parent pointers.
+    parent pointers.  Every query reads the labels frozen into a
+    :class:`FlatLabelStore`.  Batched queries run the vectorized numpy
+    kernel when numpy is importable at build time and the stdlib
+    dense-scatter kernel otherwise; both return bit-identical
+    distances.
 
     Parameters
     ----------
@@ -279,18 +261,6 @@ class PrunedLandmarkLabeling:
         Override the doubling batch schedule with constant batches;
         ``1`` restores the classic fully sequential prune discipline
         (slightly smaller labels).
-    kernel:
-        Query-kernel selection.  ``"flat"`` (default) freezes the
-        labels into a :class:`FlatLabelStore` on the first batched
-        query and uses the vectorized numpy kernel when numpy is
-        importable; ``"flat-py"`` forces the stdlib dense-scatter
-        kernel on the same flat store; ``"dict"`` keeps the legacy
-        per-node dict probing (the pre-flat baseline, retained for
-        benchmarks and differential tests).  All kernels return
-        bit-identical distances.
-    order_strategy:
-        How to order landmarks when ``order`` is not given — see
-        :func:`default_landmark_order`.
 
     >>> g = Graph.from_edges([("a", "b", 1.0), ("b", "c", 2.0)])
     >>> pll = PrunedLandmarkLabeling(g)
@@ -327,26 +297,19 @@ class PrunedLandmarkLabeling:
         *,
         order: list[Node] | None = None,
         batch_size: int | None = None,
-        kernel: str = "flat",
-        order_strategy: str = "degree",
     ) -> None:
-        if kernel not in _KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {_KERNELS}"
-            )
         self._graph = graph
         if order is None:
-            order = default_landmark_order(graph, order_strategy)
+            order = default_landmark_order(graph)
         elif set(order) != set(graph.nodes()):
             raise GraphError("order must be a permutation of the graph's nodes")
         self._rank: dict[Node, int] = {node: i for i, node in enumerate(order)}
         self._order = order
-        self.kernel = kernel
-        self._use_numpy = kernel == "flat" and numpy_available()
+        self._use_numpy = numpy_available()
         # label[u] = parallel arrays (landmark ranks asc, distances,
-        # parents) — the build/mutation representation.  Batched queries
-        # freeze it into an immutable FlatLabelStore (``_flat``) and drop
-        # these dicts; mutations thaw it back (see _freeze / _thaw).
+        # parents) — the build/mutation representation.  The first query
+        # freezes it into an immutable FlatLabelStore (``_flat``) and
+        # drops these dicts; mutations thaw it back (see _freeze / _thaw).
         self._ranks: dict[Node, list[int]] | None = {u: [] for u in graph.nodes()}
         self._dists: dict[Node, list[float]] | None = {u: [] for u in graph.nodes()}
         self._parents: dict[Node, list[Node | None]] | None = {
@@ -572,8 +535,7 @@ class PrunedLandmarkLabeling:
         queries always find one complete representation.  Racing
         freezers build identical stores (rows only change under the
         engine's write lock, on private clones), so a duplicate publish
-        is benign.  The ``"dict"`` kernel keeps querying its rows, so
-        for it the store is returned without being published.
+        is benign.
         """
         rows = self._rows()
         if rows is None:
@@ -583,8 +545,6 @@ class PrunedLandmarkLabeling:
         registry = obs.global_registry()
         registry.counter("pll_freezes").inc()
         registry.reservoir("pll_freeze").observe(time.perf_counter() - start)
-        if self.kernel == "dict":
-            return flat
         self._flat = flat
         self._ranks = None
         self._dists = None
@@ -626,19 +586,7 @@ class PrunedLandmarkLabeling:
             if u not in self._rank:
                 raise GraphError(f"node {u!r} not in index")
             return 0.0
-        flat = self._flat
-        if flat is None:
-            rows = self._rows()
-            if rows is None:  # frozen mid-call; the store is published
-                flat = self._flat
-            else:
-                ranks, dists, _ = rows
-                try:
-                    return _merge_join_min(ranks[u], dists[u], ranks[v], dists[v])
-                except KeyError as exc:
-                    raise GraphError(
-                        f"node {exc.args[0]!r} not in index"
-                    ) from None
+        flat = self._flat or self._freeze()
         try:
             return flat.merge_join_rows(self._rank[u], self._rank[v])
         except KeyError as exc:
@@ -651,25 +599,23 @@ class PrunedLandmarkLabeling:
 
         Callers that sweep one source against many targets (Steiner
         refinement, replacement, the sharded oracle's local phase) go
-        through this entry point, answered by the active kernel.  With
-        flat labels the source row is scattered into a dense
-        rank-indexed vector once and each target costs one indexed
-        gather per label entry (``kernel="flat-py"``); with numpy the
-        whole store is reduced in a single vectorized pass, the
-        source's full distance vector is memoized as a float64 ndarray,
-        and the answer is one fancy-index gather plus ``.tolist()``
-        (``kernel="flat"``).  The legacy ``kernel="dict"`` baseline
-        keeps the per-target merge join.  All kernels minimize the same
-        IEEE-754 sums, so their results are bit-identical plain Python
-        floats; all memoize per source in a bounded FIFO cache, so
-        repeated sweeps from the same source (later requests, lambda
-        sweeps) skip the kernel.  A target equal to the source reads
-        ``0.0``.
+        through this entry point.  With numpy the whole flat store is
+        reduced in a single vectorized pass, the source's full distance
+        vector is memoized as a float64 ndarray, and the answer is one
+        fancy-index gather plus ``.tolist()``.  Without numpy the
+        source row is scattered into a dense rank-indexed vector and
+        each target costs one indexed gather per label entry, memoized
+        per target.  Both kernels minimize the same IEEE-754 sums as
+        the point merge join of :meth:`distance`, so their results are
+        bit-identical plain Python floats; both memoize per source in a
+        bounded FIFO cache, so repeated sweeps from the same source
+        (later requests, lambda sweeps) skip the kernel.  A target
+        equal to the source reads ``0.0``.
 
         Instrumented at batch granularity: each call lands in the
         ``kernel_queries_<k>`` / ``kernel_targets_<k>`` /
-        ``kernel_seconds_<k>`` counters for the *effective* kernel
-        (``dict`` / ``flat-py`` / ``numpy``).  A ``pll.query`` child
+        ``kernel_seconds_<k>`` counters for the kernel that answered
+        (``numpy`` / ``stdlib``).  A ``pll.query`` child
         span is recorded — only when a trace is active — for *cold*
         sources (no memoized state yet): those calls are where the
         kernel actually works, while warm memo probes would flood the
@@ -678,19 +624,13 @@ class PrunedLandmarkLabeling:
         """
         start = time.perf_counter()
         cold = source not in self._source_cache
-        if self.kernel == "dict":
-            effective = "dict"
-            out = self._distances_from_rows(source, targets)
+        flat = self._flat or self._freeze()
+        if self._use_numpy:
+            effective = "numpy"
+            out = self._distances_from_vector(flat, source, targets)
         else:
-            flat = self._flat
-            if flat is None:
-                flat = self._freeze()
-            if self._use_numpy:
-                effective = "numpy"
-                out = self._distances_from_vector(flat, source, targets)
-            else:
-                effective = "flat-py"
-                out = self._distances_from_flat(flat, source, targets)
+            effective = "stdlib"
+            out = self._distances_from_flat(flat, source, targets)
         elapsed = time.perf_counter() - start
         self._count(effective, 1, len(out), elapsed)
         if cold:
@@ -705,8 +645,8 @@ class PrunedLandmarkLabeling:
         a skill against every root without building a dict per holder.
         Row for row it is bit-identical to :meth:`distances_from` (the
         same memoized floats; a source among the targets reads
-        ``0.0``).  Kernels without a numpy vector stack
-        :meth:`distances_from` rows instead
+        ``0.0``).  An index built without numpy has no vector to gather
+        from and stacks :meth:`distances_from` rows instead
         (:func:`distance_matrix_from_rows`).
 
         Instrumented like :meth:`distances_from`: one kernel query per
@@ -715,9 +655,7 @@ class PrunedLandmarkLabeling:
         if not self._use_numpy:
             return distance_matrix_from_rows(self, sources, targets)
         start = time.perf_counter()
-        flat = self._flat
-        if flat is None:
-            flat = self._freeze()
+        flat = self._flat or self._freeze()
         source_list = list(sources)
         key = tuple(targets)
         last = self._target_cols
@@ -758,39 +696,6 @@ class PrunedLandmarkLabeling:
                 targets=targets,
                 shard=self._obs_shard,
             )
-
-    def _distances_from_rows(
-        self, source: Node, targets: Iterable[Node]
-    ) -> dict[Node, float]:
-        """Legacy dict-probing kernel: one merge join per target."""
-        all_ranks, all_dists, _ = self._rows()
-        try:
-            src_ranks = all_ranks[source]
-        except KeyError:
-            raise GraphError(f"node {source!r} not in index") from None
-        src_dists = all_dists[source]
-        cache = self._source_cache.get(source)
-        if cache is None:
-            evict_for_insert(self._source_cache, self.MAX_CACHED_SOURCES)
-            cache = self._source_cache[source] = {}
-        out: dict[Node, float] = {}
-        for target in targets:
-            d = cache.get(target)
-            if d is None:
-                if target == source:
-                    d = 0.0
-                else:
-                    try:
-                        d = _merge_join_min(
-                            src_ranks, src_dists, all_ranks[target], all_dists[target]
-                        )
-                    except KeyError:
-                        raise GraphError(
-                            f"node {target!r} not in index"
-                        ) from None
-                cache[target] = d
-            out[target] = d
-        return out
 
     def _distances_from_flat(
         self, flat: FlatLabelStore, source: Node, targets: Iterable[Node]
@@ -883,6 +788,9 @@ class PrunedLandmarkLabeling:
         parent pointer step is itself justified by the index, so the walk
         is iterative and terminates (distance-to-hub strictly decreases).
         """
+        for node in (u, v):
+            if node not in self._rank:
+                raise GraphError(f"node {node!r} not in index")
         if u == v:
             return [u]
         hub = self._best_hub(u, v)
@@ -911,51 +819,20 @@ class PrunedLandmarkLabeling:
         return path
 
     def _best_hub(self, u: Node, v: Node) -> Node | None:
-        flat = self._flat
-        if flat is not None:
-            best_rank = flat.best_hub_rank(self._rank[u], self._rank[v])
-        else:
-            rows = self._rows()
-            if rows is None:  # frozen mid-call
-                return self._best_hub(u, v)
-            all_ranks, all_dists, _ = rows
-            ru, du = all_ranks[u], all_dists[u]
-            rv, dv = all_ranks[v], all_dists[v]
-            best, best_rank = _INF, -1
-            i = j = 0
-            while i < len(ru) and j < len(rv):
-                if ru[i] == rv[j]:
-                    total = du[i] + dv[j]
-                    if total < best:
-                        best, best_rank = total, ru[i]
-                    i += 1
-                    j += 1
-                elif ru[i] < rv[j]:
-                    i += 1
-                else:
-                    j += 1
+        flat = self._flat or self._freeze()
+        best_rank = flat.best_hub_rank(self._rank[u], self._rank[v])
         if best_rank < 0:
             return None
         return self._order[best_rank]
 
     def _parent_entry(self, node: Node, hub_rank: int) -> tuple[bool, Node | None]:
         """``(found, parent)`` for ``node``'s label entry at ``hub_rank``."""
-        flat = self._flat
-        if flat is not None:
-            start, stop = flat.row_bounds(self._rank[node])
-            idx = bisect_left(flat.ranks, hub_rank, start, stop)
-            if idx < stop and flat.ranks[idx] == hub_rank:
-                parent_rank = flat.parents[idx]
-                return True, None if parent_rank < 0 else self._order[parent_rank]
-            return False, None
-        rows = self._rows()
-        if rows is None:  # frozen mid-call
-            return self._parent_entry(node, hub_rank)
-        all_ranks, _, all_parents = rows
-        ranks = all_ranks[node]
-        idx = bisect_left(ranks, hub_rank)
-        if idx < len(ranks) and ranks[idx] == hub_rank:
-            return True, all_parents[node][idx]
+        flat = self._flat or self._freeze()
+        start, stop = flat.row_bounds(self._rank[node])
+        idx = bisect_left(flat.ranks, hub_rank, start, stop)
+        if idx < stop and flat.ranks[idx] == hub_rank:
+            parent_rank = flat.parents[idx]
+            return True, None if parent_rank < 0 else self._order[parent_rank]
         return False, None
 
     def _walk_to_hub(self, node: Node, hub: Node) -> list[Node]:
@@ -1005,7 +882,6 @@ class PrunedLandmarkLabeling:
         index._graph = self._graph.copy() if graph is None else graph
         index._order = list(self._order)
         index._rank = dict(self._rank)
-        index.kernel = self.kernel
         index._use_numpy = self._use_numpy
         rows = self._rows()
         if rows is not None:
@@ -1043,9 +919,7 @@ class PrunedLandmarkLabeling:
         callers must treat them as read-only.  :meth:`from_flat_labels`
         adopts them back without inflation.
         """
-        flat = self._flat
-        if flat is None:
-            flat = self._freeze()
+        flat = self._flat or self._freeze()
         return {
             "order": list(self._order),
             "counts": flat.row_counts(),
@@ -1094,7 +968,6 @@ class PrunedLandmarkLabeling:
         index._graph = graph
         index._order = order
         index._rank = {node: i for i, node in enumerate(order)}
-        index.kernel = "flat"
         index._use_numpy = numpy_available()
         try:
             index._flat = FlatLabelStore.from_columns(
@@ -1131,16 +1004,10 @@ class PrunedLandmarkLabeling:
 
     def label_of(self, node: Node) -> list[tuple[Node, float]]:
         """Return ``node``'s label as ``[(landmark, distance), ...]``."""
+        flat = self._flat or self._freeze()
+        row_ranks, row_dists, _ = flat.row_lists(self._rank[node])
         order = self._order
-        flat = self._flat
-        if flat is not None:
-            row_ranks, row_dists, _ = flat.row_lists(self._rank[node])
-            return [(order[r], d) for r, d in zip(row_ranks, row_dists)]
-        rows = self._rows()
-        if rows is None:  # frozen mid-call
-            return self.label_of(node)
-        all_ranks, all_dists, _ = rows
-        return [(order[r], d) for r, d in zip(all_ranks[node], all_dists[node])]
+        return [(order[r], d) for r, d in zip(row_ranks, row_dists)]
 
     def labels(self) -> dict[Node, list[tuple[Node, float]]]:
         """The whole index as ``{node: [(landmark, distance), ...]}``.

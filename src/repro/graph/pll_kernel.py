@@ -16,27 +16,30 @@ runtime* in the exact on-disk layout:
   which makes snapshot encode/decode a straight ``tobytes`` /
   ``frombytes`` memcpy with no per-entry work.
 
-Two batched distance kernels answer "one source against many targets",
-the shape of every solver hot path (greedy holder sweeps, Steiner
-refinement, replacement):
+Point queries (:meth:`FlatLabelStore.merge_join_rows`) run the classic
+sorted-hub merge join of two rows.  Two batched kernels answer "one
+source against many targets", the shape of every solver hot path
+(greedy holder sweeps, Steiner refinement, replacement), and the index
+picks one by whether numpy imports:
 
-* :meth:`FlatLabelStore.batch_row_mins` — stdlib: scatter the source
-  row into a dense rank-indexed vector once, then answer each target
-  with one indexed gather per label entry (no per-target merge join);
-* :meth:`FlatLabelStore.row_mins_numpy` — optional numpy fast path: the
-  same scatter, then *one* vectorized gather-add over the whole label
-  store and a ``minimum.reduceat`` per-row reduction, yielding the
-  source's distance to **every** node in a single pass.
+* :meth:`FlatLabelStore.row_mins_numpy` — with numpy: scatter the
+  source row into a dense rank-indexed vector, then *one* vectorized
+  gather-add over the whole label store and a ``minimum.reduceat``
+  per-row reduction, yielding the source's distance to **every** node
+  in a single pass;
+* :meth:`FlatLabelStore.batch_row_mins` — stdlib, for installs without
+  numpy: the same scatter, then one indexed gather per label entry of
+  each target (no per-target merge join).
 
-Both kernels minimize the identical set of IEEE-754 sums the classic
-sorted-hub merge join inspects (a hub missing from the source row
-contributes ``inf``), so their answers are bit-identical to each other
-and to the merge join — the byte-identity contract the engine, the
-replica pool and the snapshot round-trip tests all pin.
+Both kernels minimize the identical set of IEEE-754 sums the merge join
+inspects (a hub missing from the source row contributes ``inf``), so
+their answers are bit-identical to each other and to the merge join —
+the byte-identity contract the engine, the replica pool and the
+snapshot round-trip tests all pin.
 
 The store is immutable: mutation paths in :mod:`repro.graph.pll` thaw
 it back into per-node lists, apply their resumed pruned Dijkstras, and
-re-freeze lazily on the next batched query.
+re-freeze lazily on the next query.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ _INF = float("inf")
 
 
 def numpy_available() -> bool:
-    """Whether the vectorized numpy kernel can be used in this process."""
+    """Whether numpy imports here: a PLL index built while it does
+    answers batched queries with the vectorized kernel."""
     return _np is not None
 
 
@@ -159,12 +163,6 @@ class FlatLabelStore:
                 f"hold {len(ranks)}/{len(dists)}/{len(parents)} entries"
             )
         return cls(offsets, ranks, dists, parents)
-
-    def copy(self) -> "FlatLabelStore":
-        """An independent copy (array slicing is a C-level memcpy)."""
-        return FlatLabelStore(
-            self.offsets[:], self.ranks[:], self.dists[:], self.parents[:]
-        )
 
     # ------------------------------------------------------------------
     # introspection

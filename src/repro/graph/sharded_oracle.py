@@ -105,18 +105,13 @@ class ShardedPLLOracle:
         plan: ShardPlan | None = None,
         *,
         shards: int | None = None,
-        kernel: str = "flat",
-        order_strategy: str = "degree",
     ) -> None:
         if plan is None:
             if shards is None:
                 raise GraphError("ShardedPLLOracle needs a plan or a shard count")
             plan = plan_shards(graph, shards)
         self._init_topology(graph, plan)
-        self._order_strategy = order_strategy
-        self._shards = [
-            self._build_shard(i, kernel) for i in range(plan.num_shards)
-        ]
+        self._shards = [self._build_shard(i) for i in range(plan.num_shards)]
         self._build_boundary_summary()
         self._init_instruments()
         self._publish_label_bytes(range(plan.num_shards))
@@ -137,13 +132,9 @@ class ShardedPLLOracle:
         ]
         self._bindex = {node: i for i, node in enumerate(plan.boundary)}
 
-    def _build_shard(self, i: int, kernel: str) -> PrunedLandmarkLabeling:
+    def _build_shard(self, i: int) -> PrunedLandmarkLabeling:
         """A fresh PLL over shard ``i``'s induced subgraph."""
-        pll = PrunedLandmarkLabeling(
-            self._graph.subgraph(self.plan.shards[i]),
-            kernel=kernel,
-            order_strategy=self._order_strategy,
-        )
+        pll = PrunedLandmarkLabeling(self._graph.subgraph(self.plan.shards[i]))
         pll._obs_shard = i
         return pll
 
@@ -436,7 +427,6 @@ class ShardedPLLOracle:
         index._shard_nodes = self._shard_nodes
         index._shard_boundary = self._shard_boundary
         index._bindex = self._bindex
-        index._order_strategy = self._order_strategy
         index._shards = list(self._shards)
         index._summary_adj = self._summary_adj
         index._B = self._B
@@ -487,8 +477,7 @@ class ShardedPLLOracle:
         """
         shards = sorted(set(shards))
         for s in shards:
-            kernel = self._shards[s].kernel
-            self._shards[s] = self._build_shard(s, kernel)
+            self._shards[s] = self._build_shard(s)
             self._owned.add(s)
         self._after_update(shards, "shard_updates_rebuilt")
 
@@ -579,7 +568,6 @@ class ShardedPLLOracle:
         """
         self = cls.__new__(cls)
         self._init_topology(graph, plan)
-        self._order_strategy = "degree"
         states = list(shard_labels)
         if len(states) != plan.num_shards:
             raise GraphError(

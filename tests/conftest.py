@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import settings
 
-from repro.expertise import Expert, ExpertNetwork
 from repro.eval.workload import benchmark_network
+from repro.expertise import Expert, ExpertNetwork
+from repro.graph.pll import PrunedLandmarkLabeling
+from repro.graph.pll_kernel import numpy_available
 
 settings.register_profile("ci", max_examples=200, deadline=None)
 settings.register_profile("dev", max_examples=25, deadline=None)
@@ -117,3 +120,25 @@ def make_random_network(
 @pytest.fixture()
 def random_network_factory():
     return make_random_network
+
+
+#: The PLL's two batched kernels.  An index picks one when it is built:
+#: ``"numpy"`` when numpy imports, ``"stdlib"`` when it does not.
+PLL_KERNELS = ("numpy", "stdlib")
+#: The kernels this process can run; installs without numpy have one.
+AVAILABLE_PLL_KERNELS = PLL_KERNELS if numpy_available() else ("stdlib",)
+
+
+def build_pll(graph, kernel: str, **options) -> PrunedLandmarkLabeling:
+    """A PLL index over ``graph`` that answers with ``kernel``.
+
+    ``"stdlib"`` hides numpy from the build, which is what an install
+    without numpy sees.  ``"numpy"`` skips the calling test when numpy
+    is not installed.
+    """
+    if kernel == "stdlib":
+        with mock.patch("repro.graph.pll.numpy_available", return_value=False):
+            return PrunedLandmarkLabeling(graph, **options)
+    if not numpy_available():
+        pytest.skip("the numpy kernel needs numpy")
+    return PrunedLandmarkLabeling(graph, **options)

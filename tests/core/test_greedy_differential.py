@@ -32,13 +32,13 @@ from repro.api.solvers import register_builtin_solvers
 from repro.core import GreedyTeamFinder, ObjectiveScales
 from repro.core.greedy import OBJECTIVES, search_graph_for
 from repro.expertise import Expert, ExpertNetwork
-from repro.graph.pll import PrunedLandmarkLabeling
 from repro.graph.pll_kernel import numpy_available
 
+from ..conftest import AVAILABLE_PLL_KERNELS, build_pll
 from .greedy_reference import ReferenceGreedyAdapter, RootFirstReference
 
 SKILLS = ("a", "b", "c", "d", "e")
-KERNELS = ("flat", "flat-py", "dict")
+KERNELS = AVAILABLE_PLL_KERNELS
 #: Every sweep this process can run; numpy-less installs have only one.
 SWEEPS = ("matrix", "lists") if numpy_available() else ("lists",)
 
@@ -175,7 +175,7 @@ def canonical(
     return engine.solve(case.request(oracle_kind)).canonical_json()
 
 
-def finder_for(case: Case, kernel: str = "flat") -> GreedyTeamFinder:
+def finder_for(case: Case, kernel: str = KERNELS[0]) -> GreedyTeamFinder:
     scales = ObjectiveScales.from_network(case.network)
     graph = search_graph_for(case.network, case.objective, case.gamma, scales)
     return GreedyTeamFinder(
@@ -185,7 +185,7 @@ def finder_for(case: Case, kernel: str = "flat") -> GreedyTeamFinder:
         lam=case.lam,
         scales=scales,
         root_candidates=case.roots,
-        oracle=PrunedLandmarkLabeling(graph, kernel=kernel),
+        oracle=build_pll(graph, kernel),
         search_graph=graph,
     )
 

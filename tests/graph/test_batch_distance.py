@@ -5,7 +5,8 @@ Four equivalences are pinned down here:
 * ``distances_from`` / ``distances_many`` agree with point ``distance()``
   and with plain Dijkstra ground truth, on both oracle kinds;
 * ``distance_matrix`` equals ``distances_from`` row for row, bit for
-  bit, on every oracle and kernel, and counts and traces like it;
+  bit, on every oracle and both PLL kernels, and counts and traces
+  like it;
 * the doubling batch schedule and the classic ``batch_size=1`` build both
   answer exact distances and paths;
 * the Steiner closure answers the same through an oracle as without one.
@@ -29,14 +30,14 @@ from repro.graph import (
 from repro.graph.pll_kernel import numpy_available
 from repro.graph.sharded_oracle import ShardedPLLOracle
 
-from ..conftest import make_random_network
+from ..conftest import PLL_KERNELS, build_pll, make_random_network
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="distance_matrix returns a numpy array"
 )
 
 #: Every oracle and kernel ``distance_matrix`` must agree with.
-MATRIX_ORACLES = ("flat", "flat-py", "dict", "cramped", "dijkstra", "sharded")
+MATRIX_ORACLES = (*PLL_KERNELS, "cramped", "dijkstra", "sharded")
 
 
 def _random_graph(seed: int, n: int = 40) -> Graph:
@@ -52,7 +53,7 @@ def _matrix_oracle(name: str, graph: Graph):
         pll = PrunedLandmarkLabeling(graph)
         pll.MAX_CACHED_SOURCES = 2
         return pll
-    return PrunedLandmarkLabeling(graph, kernel=name)
+    return build_pll(graph, name)
 
 
 def _hex(values) -> list[str]:

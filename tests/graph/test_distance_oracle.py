@@ -10,6 +10,9 @@ from repro.graph import (
     PrunedLandmarkLabeling,
     build_oracle,
 )
+from repro.graph.sharded_oracle import ShardedPLLOracle
+
+from ..conftest import PLL_KERNELS, build_pll
 
 
 @pytest.fixture()
@@ -51,6 +54,19 @@ def test_dijkstra_oracle_unknown_node(graph):
     oracle = DijkstraOracle(graph)
     with pytest.raises(GraphError):
         oracle.distance("a", "ghost")
+
+
+@pytest.mark.parametrize("name", [*PLL_KERNELS, "dijkstra", "sharded"])
+@pytest.mark.parametrize("u, v", [("a", "zz"), ("zz", "a"), ("zz", "zz")])
+def test_path_with_an_unknown_node_raises(graph, name, u, v):
+    if name == "dijkstra":
+        oracle = DijkstraOracle(graph)
+    elif name == "sharded":
+        oracle = ShardedPLLOracle(graph, shards=2)
+    else:
+        oracle = build_pll(graph, name)
+    with pytest.raises(GraphError):
+        oracle.path(u, v)
 
 
 def test_cache_eviction_keeps_answers_correct(graph):

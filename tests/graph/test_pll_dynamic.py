@@ -25,6 +25,8 @@ from repro.graph.adjacency import Graph, GraphError
 from repro.graph.dijkstra import dijkstra
 from repro.graph.pll import PrunedLandmarkLabeling, pll_build_count
 
+from ..conftest import AVAILABLE_PLL_KERNELS, build_pll
+
 #: Quarter-integer weights: closed under addition without rounding, so
 #: "exactly equal" below means exactly equal.
 WEIGHTS = [0.25 * k for k in range(1, 17)]
@@ -209,7 +211,7 @@ def test_incremental_updates_counter():
 
 
 # ----------------------------------------------------------------------
-# PR-6 flat kernel: dict-era equivalence and zero-build round-trips
+# both kernels after mutations, and zero-build round-trips
 # ----------------------------------------------------------------------
 def _apply_random_mutations(data, pll: PrunedLandmarkLabeling, num_nodes: int) -> int:
     """Draw and apply a random add_node / insert_edge sequence."""
@@ -247,28 +249,29 @@ def _random_graph(data) -> tuple[Graph, int]:
     return graph, num_nodes
 
 
-@given(data=st.data())
-def test_flat_kernel_matches_dict_oracle_after_mutations(data):
-    """Flat labels == the dict-era oracle after arbitrary mutations.
+@given(data=st.data(), kernel=st.sampled_from(AVAILABLE_PLL_KERNELS))
+def test_batched_kernels_match_a_fresh_build_after_mutations(data, kernel):
+    """Mutated labels == a fresh build's point merge join, on both kernels.
 
-    A flat-kernel index absorbs a random ``insert_edge`` / ``add_node``
-    sequence (freeze/thaw cycling between every batched query), then
-    every batched and point distance must exactly equal a dict-kernel
-    index built from scratch on the mutated graph.
+    An index absorbs a random ``insert_edge`` / ``add_node`` sequence
+    (freeze/thaw cycling between every query), then every batched and
+    point distance must exactly equal the point merge join
+    (:meth:`~PrunedLandmarkLabeling.distance`) of an index built from
+    scratch on the mutated graph.
     """
     graph, num_nodes = _random_graph(data)
-    flat = PrunedLandmarkLabeling(graph, kernel="flat")
+    pll = build_pll(graph, kernel)
     nodes = list(graph.nodes())
-    flat.distances_from(nodes[0], nodes)  # freeze before the first mutation
-    num_nodes = _apply_random_mutations(data, flat, num_nodes)
-    reference = PrunedLandmarkLabeling(graph, kernel="dict")
+    pll.distances_from(nodes[0], nodes)  # freeze before the first mutation
+    _apply_random_mutations(data, pll, num_nodes)
+    reference = PrunedLandmarkLabeling(graph)
     nodes = list(graph.nodes())
     for source in nodes:
-        assert flat.distances_from(source, nodes) == reference.distances_from(
-            source, nodes
-        )
+        batch = pll.distances_from(source, nodes)
         for target in nodes:
-            assert flat.distance(source, target) == reference.distance(source, target)
+            expected = reference.distance(source, target)
+            assert batch[target] == expected
+            assert pll.distance(source, target) == expected
 
 
 @given(data=st.data())
@@ -281,7 +284,7 @@ def test_label_round_trips_are_zero_build_and_bit_identical(data):
     batched distance exactly like the original.
     """
     graph, num_nodes = _random_graph(data)
-    pll = PrunedLandmarkLabeling(graph, kernel="flat")
+    pll = PrunedLandmarkLabeling(graph)
     _apply_random_mutations(data, pll, num_nodes)
     nodes = list(graph.nodes())
     expected_state = pll.export_flat_labels()

@@ -2,8 +2,9 @@
 
 :class:`repro.graph.pll_kernel.FlatLabelStore` is the PR-6 query-side
 representation: CSR-style columns in the snapshot codec's exact layout,
-plus three distance kernels (merge join, stdlib dense-scatter batch,
-optional numpy ``minimum.reduceat``).  The contract pinned here is
+plus three distance kernels (the point merge join, and the two batched
+kernels an index picks between: numpy ``minimum.reduceat`` when numpy
+imports, stdlib dense-scatter otherwise).  The contract pinned here is
 **bit-identity**: every kernel minimizes the identical set of IEEE-754
 hub sums, so their answers must be exactly equal — not merely close —
 on every store, including degenerate ones (empty rows, empty trailing
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.graph.adjacency import Graph
+from repro.graph.centrality import betweenness_centrality
 from repro.graph.pll import PrunedLandmarkLabeling, default_landmark_order
 from repro.graph.pll_kernel import (
     DIST_TYPECODE,
@@ -26,6 +28,8 @@ from repro.graph.pll_kernel import (
     FlatLabelStore,
     numpy_available,
 )
+
+from ..conftest import PLL_KERNELS, build_pll
 
 _INF = float("inf")
 
@@ -105,14 +109,6 @@ def test_from_rows_encodes_parents_as_ranks():
     )
     assert store.row_lists(0) == ([0], [0.0], [-1])
     assert store.row_lists(1) == ([0, 1], [1.0, 0.0], [0, -1])
-
-
-def test_copy_is_independent():
-    store = make_store([[(0, 0.0)], [(0, 2.5), (1, 0.0)]])
-    dup = store.copy()
-    dup.dists[0] = 9.0
-    assert store.dists[0] == 0.0
-    assert dup.row_lists(0) == ([0], [9.0], [-1])
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +208,7 @@ def test_frozen_index_store_matches_label_semantics():
 
 
 # ----------------------------------------------------------------------
-# landmark ordering strategies
+# landmark order and the index's kernels
 # ----------------------------------------------------------------------
 def _star_plus_tail() -> Graph:
     # "hub" has max degree; "mid" has the highest betweenness bridge
@@ -231,55 +227,35 @@ def _star_plus_tail() -> Graph:
 
 def test_default_landmark_order_degree_sorts_by_degree():
     graph = _star_plus_tail()
-    order = default_landmark_order(graph, "degree")
+    order = default_landmark_order(graph)
     assert order[0] == "hub"
     degrees = [graph.degree(node) for node in order]
     assert degrees == sorted(degrees, reverse=True)
 
 
-def test_default_landmark_order_centrality_ranks_bridges():
-    graph = _star_plus_tail()
-    order = default_landmark_order(graph, "centrality")
-    assert set(order) == set(graph.nodes())
-    # The star hub carries the most shortest paths here; the tail bridge
-    # outranks every leaf.
-    assert order[0] == "hub"
-    assert order.index("mid") < order.index("s1")
-
-
-def test_default_landmark_order_rejects_unknown_strategy():
-    with pytest.raises(ValueError, match="order strategy"):
-        default_landmark_order(Graph(), "pagerank")
-
-
-def test_pll_rejects_unknown_kernel_and_strategy():
-    graph = Graph.from_edges([("a", "b", 1.0)])
-    with pytest.raises(ValueError, match="unknown kernel"):
-        PrunedLandmarkLabeling(graph, kernel="simd")
-    with pytest.raises(ValueError, match="order strategy"):
-        PrunedLandmarkLabeling(graph, order_strategy="pagerank")
-
-
-@pytest.mark.parametrize("kernel", ["flat", "flat-py", "dict"])
+@pytest.mark.parametrize("kernel", PLL_KERNELS)
 def test_all_kernels_answer_identical_distances(kernel):
+    """Each batched kernel == the point merge join, bit for bit."""
     graph = Graph.from_edges(
         [("a", "b", 0.25), ("b", "c", 1.5), ("c", "d", 0.75), ("b", "d", 3.0)]
     )
     graph.add_node("lonely")
-    reference = PrunedLandmarkLabeling(graph, kernel="dict")
-    pll = PrunedLandmarkLabeling(graph, kernel=kernel)
+    pll = build_pll(graph, kernel)
     nodes = list(graph.nodes())
     for source in nodes:
-        assert pll.distances_from(source, nodes) == reference.distances_from(
-            source, nodes
-        )
+        batch = pll.distances_from(source, nodes)
         for target in nodes:
-            assert pll.distance(source, target) == reference.distance(source, target)
+            point = pll.distance(source, target)
+            assert batch[target].hex() == point.hex(), (source, target)
 
 
 def test_centrality_ordered_index_is_exact():
+    # Any permutation is a valid landmark order; betweenness ranks the
+    # nodes shortest paths actually run through first.
     graph = _star_plus_tail()
-    pll = PrunedLandmarkLabeling(graph, order_strategy="centrality")
+    scores = betweenness_centrality(graph)
+    order = sorted(graph.nodes(), key=lambda n: (-scores[n], -graph.degree(n), repr(n)))
+    pll = PrunedLandmarkLabeling(graph, order=order)
     reference = PrunedLandmarkLabeling(graph)
     nodes = list(graph.nodes())
     for source in nodes:

@@ -77,9 +77,9 @@ def test_restored_labels_are_bit_identical(engine, tmp_path):
 
 
 def test_network_history_round_trips(engine, tmp_path):
-    network = engine.network
-    network.add_expert(Expert("new", skills={"TM"}, h_index=4))
-    network.add_collaboration("new", "han", weight=0.5)
+    with engine.mutate() as network:
+        network.add_expert(Expert("new", skills={"TM"}, h_index=4))
+        network.add_collaboration("new", "han", weight=0.5)
     engine.solve(request_for("greedy"))  # reconcile + warm at version 2
     engine.save_snapshot(tmp_path / "store")
     warm = TeamFormationEngine.from_snapshot(tmp_path / "store")
@@ -87,8 +87,9 @@ def test_network_history_round_trips(engine, tmp_path):
     assert warm.network.journal_floor == network.journal_floor
     assert warm.network.journal_tail() == network.journal_tail()
     # Post-restore mutations replay through the same incremental path.
-    for net in (network, warm.network):
-        net.add_collaboration("new", "liu", weight=0.1)
+    for owner in (engine, warm):
+        with owner.mutate() as net:
+            net.add_collaboration("new", "liu", weight=0.1)
     assert canonical_json(warm.solve(request_for("greedy"))) == canonical_json(
         engine.solve(request_for("greedy"))
     )
@@ -98,10 +99,10 @@ def test_snapshot_attaches_to_newer_live_network(engine, tmp_path):
     engine.solve(request_for("greedy"))
     engine.raw_oracle()
     engine.save_snapshot(tmp_path / "store")  # frozen at version 0
-    network = engine.network
-    network.add_expert(Expert("new", skills={"SN"}, h_index=50))
-    network.add_collaboration("new", "han", weight=0.05)
-    network.update_h_index("kotzias", 9.0)
+    with engine.mutate() as network:
+        network.add_expert(Expert("new", skills={"SN"}, h_index=50))
+        network.add_collaboration("new", "han", weight=0.05)
+        network.update_h_index("kotzias", 9.0)
 
     warm = TeamFormationEngine.from_snapshot(tmp_path / "store", network=network)
     assert warm.network is network
@@ -112,7 +113,8 @@ def test_snapshot_attaches_to_newer_live_network(engine, tmp_path):
 
 
 def test_snapshot_ahead_of_live_network_is_stale(engine, tmp_path):
-    engine.network.add_expert(Expert("new", skills={"SN"}))
+    with engine.mutate() as network:
+        network.add_expert(Expert("new", skills={"SN"}))
     engine.save_snapshot(tmp_path / "store")  # frozen at version 1
     other = build_figure1_network()  # version 0: never saw the mutation
     with pytest.raises(StaleSnapshotError, match="ahead of the live network"):
@@ -121,11 +123,11 @@ def test_snapshot_ahead_of_live_network_is_stale(engine, tmp_path):
 
 def test_snapshot_older_than_journal_floor_is_stale(engine, tmp_path):
     engine.save_snapshot(tmp_path / "store")  # frozen at version 0
-    network = engine.network
-    network.JOURNAL_CAP = 2  # instance override; shrink history brutally
-    network.add_collaboration("liu", "golshan", weight=0.9)
-    network.add_collaboration("liu", "kotzias", weight=0.9)
-    network.add_collaboration("ren", "golshan", weight=0.9)
+    with engine.mutate() as network:
+        network.JOURNAL_CAP = 2  # instance override; shrink history brutally
+        network.add_collaboration("liu", "golshan", weight=0.9)
+        network.add_collaboration("liu", "kotzias", weight=0.9)
+        network.add_collaboration("ren", "golshan", weight=0.9)
     assert network.mutations_since(0) is None  # floor moved past v0
     with pytest.raises(StaleSnapshotError, match="journal floor"):
         TeamFormationEngine.from_snapshot(tmp_path / "store", network=network)
@@ -135,7 +137,8 @@ def test_divergent_lineage_at_same_version_is_stale(engine, tmp_path):
     """Version numbers alone cannot tell lineages apart; the journal
     overlap can — a same-version network with a *different* mutation
     history must be refused, never silently served wrong distances."""
-    engine.network.add_collaboration("liu", "golshan", weight=0.01)  # v1
+    with engine.mutate() as network:
+        network.add_collaboration("liu", "golshan", weight=0.01)  # v1
     engine.save_snapshot(tmp_path / "store")
     other = build_figure1_network()
     other.add_collaboration("ren", "kotzias", weight=0.01)  # also v1
@@ -205,7 +208,8 @@ def test_dijkstra_entries_are_skipped_not_persisted(tmp_path):
 
 def test_stale_cache_entries_are_not_persisted(engine, tmp_path):
     engine.solve(request_for("greedy"))
-    engine.network.update_h_index("han", 140.0)  # entries now stale at v1
+    with engine.mutate() as network:
+        network.update_h_index("han", 140.0)  # entries now stale at v1
     engine.save_snapshot(tmp_path / "store")
     warm = TeamFormationEngine.from_snapshot(tmp_path / "store")
     assert warm.cached_oracle_keys == ()

@@ -88,7 +88,8 @@ def test_load_save_identity_with_mutation_history(
     engine = TeamFormationEngine(network)
     # A mutation history *before* the save: the journal tail is frozen
     # into the snapshot and must round-trip.
-    apply_random_mutations(network, rng, pre_mutations)
+    with engine.mutate() as net:
+        apply_random_mutations(net, rng, pre_mutations)
     reqs = requests(rng)
     live = [engine.solve(r) for r in reqs]
     engine.raw_oracle()
@@ -119,7 +120,8 @@ def test_load_save_identity_with_mutation_history(
         # Live-journal reconcile: mutate the live network further, then
         # attach the (now-old) snapshot to it; answers must match the
         # engine that never left memory.
-        apply_random_mutations(network, rng, post_mutations)
+        with engine.mutate() as net:
+            apply_random_mutations(net, rng, post_mutations)
         attached = TeamFormationEngine.from_snapshot(path, network=network)
         for request in requests(rng):
             assert canonical_json(attached.solve(request)) == canonical_json(
