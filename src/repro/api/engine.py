@@ -626,12 +626,15 @@ class TeamFormationEngine:
                 graph = self._derive_graph(base, self.network)
                 oracle = oracle.clone(graph)
                 oracle.rebuild_shards(rebuild)
-            for step in steps:
-                if step[0] == "node":
-                    oracle.add_node(step[1])
-                else:
-                    _, u, v, weight = step
-                    oracle.insert_edge(u, v, weight)
+            if isinstance(oracle, PrunedLandmarkLabeling):
+                oracle.apply(steps)  # one label-store publication
+            else:
+                for step in steps:
+                    if step[0] == "node":
+                        oracle.add_node(step[1])
+                    else:
+                        _, u, v, weight = step
+                        oracle.insert_edge(u, v, weight)
             if isinstance(oracle, ShardedPLLOracle):
                 span.set_attribute("shards", len(oracle.replaced_shards))
         return graph, oracle

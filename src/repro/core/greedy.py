@@ -52,16 +52,15 @@ the team subgraph is a tree) and re-scored with the literal Definitions
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections.abc import Callable, Iterable, Sequence
 
 from .. import obs
 from ..expertise.network import ExpertNetwork
 from ..graph.adjacency import Graph
-from ..graph.dijkstra import dijkstra, reconstruct_path
+from ..graph.dijkstra import dijkstra
 from ..graph.distance import DistanceOracle, build_oracle
 from .objectives import ObjectiveScales, SaMode, TeamEvaluator
-from .team import Team
+from .team import Team, team_along_parents
 from .transform import authority_fold_transform
 
 try:  # the matrix sweep; without numpy the stdlib sweep runs
@@ -402,11 +401,4 @@ class GreedyTeamFinder:
         # the last bit of every sum over it.
         holders = list(dict.fromkeys(assignment.values()))
         _, parent = dijkstra(self._search_graph, root, targets=holders)
-        tree = Graph()
-        tree.add_node(root)
-        for holder in holders:
-            path = reconstruct_path(parent, holder)
-            for u, v in itertools.pairwise(path):
-                if not tree.has_edge(u, v):
-                    tree.add_edge(u, v, weight=self.network.graph.weight(u, v))
-        return Team(tree=tree, assignments=dict(assignment), root=root)
+        return team_along_parents(root, holders, parent, self.network.graph, assignment)

@@ -14,15 +14,13 @@ whose shortest-path trees are memoized, so 10,000 samples stay cheap.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Iterable
 
 from ..expertise.network import ExpertNetwork
-from ..graph.adjacency import Graph
-from ..graph.dijkstra import dijkstra, reconstruct_path
+from ..graph.dijkstra import dijkstra
 from .objectives import ObjectiveScales, SaMode, TeamEvaluator
-from .team import Team
+from .team import Team, team_along_parents
 
 __all__ = ["RandomSolver", "DEFAULT_NUM_SAMPLES"]
 
@@ -117,11 +115,4 @@ class RandomSolver:
         holders = sorted(set(assignment.values()))
         if any(h not in dist for h in holders):
             return None  # some holder unreachable from this root
-        tree = Graph()
-        tree.add_node(root)
-        for holder in holders:
-            path = reconstruct_path(parent, holder)
-            for u, v in itertools.pairwise(path):
-                if not tree.has_edge(u, v):
-                    tree.add_edge(u, v, weight=self.network.graph.weight(u, v))
-        return Team(tree=tree, assignments=dict(assignment), root=root)
+        return team_along_parents(root, holders, parent, self.network.graph, assignment)

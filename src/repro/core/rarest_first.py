@@ -14,15 +14,13 @@ strategy is Algorithm 1 in ``cc`` mode.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable
 from typing import Literal
 
 from ..expertise.network import ExpertNetwork
-from ..graph.adjacency import Graph
-from ..graph.dijkstra import dijkstra, reconstruct_path
+from ..graph.dijkstra import dijkstra
 from ..graph.distance import DistanceOracle, build_oracle
-from .team import Team
+from .team import Team, team_along_parents
 
 __all__ = ["RarestFirstSolver"]
 
@@ -98,11 +96,6 @@ class RarestFirstSolver:
     def _materialize(self, anchor: str, assignment: dict[str, str]) -> Team:
         holders = list(dict.fromkeys(assignment.values()))
         _, parent = dijkstra(self.network.graph, anchor, targets=holders)
-        tree = Graph()
-        tree.add_node(anchor)
-        for holder in holders:
-            path = reconstruct_path(parent, holder)
-            for u, v in itertools.pairwise(path):
-                if not tree.has_edge(u, v):
-                    tree.add_edge(u, v, weight=self.network.graph.weight(u, v))
-        return Team(tree=tree, assignments=dict(assignment), root=anchor)
+        return team_along_parents(
+            anchor, holders, parent, self.network.graph, assignment
+        )

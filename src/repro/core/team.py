@@ -9,12 +9,15 @@ one skill are *skill holders*; all remaining members are *connectors*
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..graph.adjacency import Graph
 from ..graph.components import is_connected
+from ..graph.dijkstra import reconstruct_path
 
-__all__ = ["Team", "TeamValidationError"]
+__all__ = ["Team", "TeamValidationError", "team_along_parents"]
 
 
 class TeamValidationError(Exception):
@@ -123,3 +126,29 @@ class Team:
             f"Team(size={self.size}, holders={sorted(self.skill_holders)}, "
             f"connectors={sorted(self.connectors)})"
         )
+
+
+def team_along_parents(
+    root: str,
+    holders: Iterable[str],
+    parent: dict[str, str | None],
+    graph: Graph,
+    assignment: dict[str, str],
+) -> Team:
+    """The union of root-to-holder paths along one parent map.
+
+    ``parent`` is one shortest-path tree from ``root`` (a Dijkstra
+    parent map), which keeps the union cycle-free; every holder must be
+    in it.  Edge weights come from ``graph``, the original network, even
+    when the tree was grown on another graph.  ``holders`` fixes the
+    order edges enter the team's subgraph, and that order fixes the last
+    bit of every sum over it, so each solver passes its own.
+    """
+    tree = Graph()
+    tree.add_node(root)
+    for holder in holders:
+        path = reconstruct_path(parent, holder)
+        for u, v in itertools.pairwise(path):
+            if not tree.has_edge(u, v):
+                tree.add_edge(u, v, weight=graph.weight(u, v))
+    return Team(tree=tree, assignments=dict(assignment), root=root)

@@ -56,7 +56,11 @@ seeded *through* the new edge (hub ``h`` of ``a`` at stored distance
 ``d`` seeds ``b`` at ``d + w``), pruning against the live index.  Only
 pairs whose distance actually decreased are traversed, so a single-edge
 update touches a tiny fraction of the label store — measured in
-``benchmarks/bench_dynamic_updates.py`` against a full rebuild.
+``benchmarks/bench_dynamic_updates.py`` against a full rebuild.  A write
+call copies the rows it reads out of the immutable label store, edits
+the copies of the rows it rewrites, and splices those into one new
+store (:meth:`FlatLabelStore.splice`) when it returns;
+:meth:`PrunedLandmarkLabeling.apply` runs a whole delta as one call.
 
 Distance-*increasing* changes (edge removal, weight increase, node
 removal) can invalidate labels that certify now-broken paths; callers
@@ -244,11 +248,12 @@ class PrunedLandmarkLabeling:
 
     The index is built once in the constructor; queries never touch the
     graph again except for path reconstruction, which follows stored
-    parent pointers.  Every query reads the labels frozen into a
-    :class:`FlatLabelStore`.  Batched queries run the vectorized numpy
-    kernel when numpy is importable at build time and the stdlib
-    dense-scatter kernel otherwise; both return bit-identical
-    distances.
+    parent pointers.  The labels live in one immutable
+    :class:`FlatLabelStore`, which every query reads and every write
+    replaces with a new one (so clones can share a store).  Batched
+    queries run the vectorized numpy kernel when numpy is importable at
+    build time and the stdlib dense-scatter kernel otherwise; both
+    return bit-identical distances.
 
     Parameters
     ----------
@@ -306,48 +311,45 @@ class PrunedLandmarkLabeling:
         self._rank: dict[Node, int] = {node: i for i, node in enumerate(order)}
         self._order = order
         self._use_numpy = numpy_available()
-        # label[u] = parallel arrays (landmark ranks asc, distances,
-        # parents) — the build/mutation representation.  The first query
-        # freezes it into an immutable FlatLabelStore (``_flat``) and
-        # drops these dicts; mutations thaw it back (see _freeze / _thaw).
-        self._ranks: dict[Node, list[int]] | None = {u: [] for u in graph.nodes()}
-        self._dists: dict[Node, list[float]] | None = {u: [] for u in graph.nodes()}
-        self._parents: dict[Node, list[Node | None]] | None = {
-            u: [] for u in graph.nodes()
-        }
-        self._flat: FlatLabelStore | None = None
         self._source_cache: dict[Node, dict[Node, float] | _np.ndarray] = {}
         #: How many in-place updates this index has absorbed since its
         #: build (diagnostics; also arms the path-reconstruction check).
         self.incremental_updates = 0
-        self._build(batch_size)
+        rows = self._build(batch_size)
+        self._flat = FlatLabelStore.from_rows(order, self._rank, *rows)
         global _build_count
         _build_count += 1
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _build(self, batch_size: int | None) -> None:
-        # Searching the live store is valid because a batch is merged
-        # only after all of its searches returned: until then the live
-        # store *is* the pre-batch snapshot.
+    def _build(self, batch_size: int | None) -> tuple[dict, dict, dict]:
+        """The per-node label rows: ranks ascending, distances, parents.
+
+        Searching the live rows is valid because a batch is merged only
+        after all of its searches returned: until then the live rows
+        *are* the pre-batch snapshot.
+        """
+        nodes = list(self._graph.nodes())
+        ranks: dict[Node, list[int]] = {u: [] for u in nodes}
+        dists: dict[Node, list[float]] = {u: [] for u in nodes}
+        parents: dict[Node, list[Node | None]] = {u: [] for u in nodes}
         adj = self._graph.adjacency()
         for batch in _batch_schedule(len(self._order), batch_size):
             results = [
-                (
-                    rank_l,
-                    _pruned_dijkstra(
-                        adj, self._order[rank_l], self._ranks, self._dists
-                    ),
-                )
+                (rank_l, _pruned_dijkstra(adj, self._order[rank_l], ranks, dists))
                 for rank_l in batch
             ]
-            self._merge_batch(batch.start, results)
+            self._merge_batch(batch.start, results, ranks, dists, parents)
+        return ranks, dists, parents
 
     def _merge_batch(
         self,
         batch_start: int,
         results: list[tuple[int, list[tuple[Node, float, Node | None]]]],
+        ranks: dict[Node, list[int]],
+        dists: dict[Node, list[float]],
+        parents: dict[Node, list[Node | None]],
     ) -> None:
         """Commit one batch's searches in rank order.
 
@@ -359,19 +361,15 @@ class PrunedLandmarkLabeling:
         """
         for rank_l, settles in results:
             landmark = self._order[rank_l]
-            l_ranks = self._ranks[landmark]
-            l_dists = self._dists[landmark]
+            l_ranks = ranks[landmark]
+            l_dists = dists[landmark]
             for u, d, via in settles:
-                if (
-                    _tail_join_min(
-                        l_ranks, l_dists, self._ranks[u], self._dists[u], batch_start
-                    )
-                    <= d
-                ):
+                u_ranks, u_dists = ranks[u], dists[u]
+                if _tail_join_min(l_ranks, l_dists, u_ranks, u_dists, batch_start) <= d:
                     continue
-                self._ranks[u].append(rank_l)
-                self._dists[u].append(d)
-                self._parents[u].append(via)
+                u_ranks.append(rank_l)
+                u_dists.append(d)
+                parents[u].append(via)
 
     # ------------------------------------------------------------------
     # incremental maintenance
@@ -393,18 +391,7 @@ class PrunedLandmarkLabeling:
         its self-label; subsequent :meth:`insert_edge` calls connect it.
         Idempotent for nodes already indexed.
         """
-        if node in self._rank:
-            return
-        self._thaw()
-        self._graph.add_node(node)
-        rank = len(self._order)
-        self._order.append(node)
-        self._rank[node] = rank
-        self._ranks[node] = [rank]
-        self._dists[node] = [0.0]
-        self._parents[node] = [None]
-        self.invalidate()
-        self.incremental_updates += 1
+        self.apply([("node", node)])
 
     def insert_edge(self, u: Node, v: Node, weight: float) -> None:
         """Absorb a new edge ``{u, v}`` (or a weight *decrease*) in place.
@@ -428,6 +415,40 @@ class PrunedLandmarkLabeling:
         weight itself before calling — the engine does so from the
         network's mutation journal and rebuilds on any net increase.
         """
+        self.apply([("edge", u, v, weight)])
+
+    def apply(self, steps: Iterable[tuple]) -> None:
+        """Absorb ``steps`` in order, then publish one new label store.
+
+        A step is ``("node", node)`` (as :meth:`add_node`) or ``("edge",
+        u, v, weight)`` (as :meth:`insert_edge`) — the engine replays a
+        mutation delta in this form.  All steps edit one
+        :class:`_LabelEdit`, so a long delta pays for one
+        :meth:`FlatLabelStore.splice`.  A step that raises leaves the
+        steps before it applied and published.
+        """
+        edit = _LabelEdit(self._flat)
+        try:
+            for step in steps:
+                if step[0] == "node":
+                    self._add_node(edit, step[1])
+                else:
+                    self._insert_edge(edit, *step[1:])
+        finally:
+            self._flat = edit.publish()
+            self.invalidate()
+
+    def _add_node(self, edit: _LabelEdit, node: Node) -> None:
+        if node in self._rank:
+            return
+        self._graph.add_node(node)
+        rank = len(self._order)
+        self._order.append(node)
+        self._rank[node] = rank
+        edit.append(rank)
+        self.incremental_updates += 1
+
+    def _insert_edge(self, edit: _LabelEdit, u: Node, v: Node, weight: float) -> None:
         if u == v:
             raise GraphError(f"self-loop on {u!r} is not allowed")
         for node in (u, v):
@@ -440,32 +461,38 @@ class PrunedLandmarkLabeling:
                 f"{self._graph.weight(u, v)!r} to {weight!r} — rebuild"
             )
         self._graph.add_edge(u, v, weight=weight)
-        self._thaw()
-        self.invalidate()
-        # Snapshot both endpoint labels *before* any repair, then resume
-        # one search per affected hub in ascending rank (priority) order,
-        # merging seeds when the same hub covers both endpoints.
+        # Seed from both endpoint labels as they stand *before* this
+        # edge's repair, then resume one search per affected hub in
+        # ascending rank (priority) order, merging seeds when the same
+        # hub covers both endpoints.
         seeds: dict[int, list[tuple[float, Node, Node]]] = {}
         for a, b in ((u, v), (v, u)):
-            for rank_h, d_ha in zip(list(self._ranks[a]), list(self._dists[a])):
+            a_ranks, a_dists, _ = edit[self._rank[a]]
+            for rank_h, d_ha in zip(a_ranks, a_dists):
                 seeds.setdefault(rank_h, []).append((d_ha + weight, b, a))
         for rank_h in sorted(seeds):
-            self._resume_pruned_dijkstra(rank_h, seeds[rank_h])
+            self._resume_pruned_dijkstra(edit, rank_h, seeds[rank_h])
         self.incremental_updates += 1
 
     def _resume_pruned_dijkstra(
-        self, rank_h: int, seeds: list[tuple[float, Node, Node]]
+        self,
+        edit: _LabelEdit,
+        rank_h: int,
+        seeds: list[tuple[float, Node, Node]],
     ) -> None:
         """Resume landmark ``rank_h``'s pruned Dijkstra from ``seeds``.
 
         Seeds are ``(distance, node, parent)`` entries justified by an
         existing label plus the new edge.  The search settles a node
-        only when the live index cannot already certify its distance,
-        in which case the label entry is tightened (or inserted).
+        only when the labels cannot already certify its distance, in
+        which case the node's row gets the entry tightened (or
+        inserted).
         """
         adj = self._graph.adjacency()
-        landmark = self._order[rank_h]
-        h_ranks, h_dists = self._ranks[landmark], self._dists[landmark]
+        rank = self._rank
+        # The hub's own row never changes here: it holds a zero-distance
+        # entry, so it always prunes itself.
+        h_ranks, h_dists, _ = edit[rank_h]
         heap: list[tuple[float, int, Node, Node | None]] = []
         counter = 0
         for d, node, via in seeds:
@@ -477,105 +504,17 @@ class PrunedLandmarkLabeling:
             d, _, x, via = heapq.heappop(heap)
             if x in settled:
                 continue
-            if _merge_join_min(h_ranks, h_dists, self._ranks[x], self._dists[x]) <= d:
+            row = rank[x]
+            x_ranks, x_dists, _ = edit[row]
+            if _merge_join_min(h_ranks, h_dists, x_ranks, x_dists) <= d:
                 continue
             settled.add(x)
-            self._set_label(x, rank_h, d, via)
+            edit.set_label(row, rank_h, d, rank[via])
             for y, w in adj[x].items():
                 if y in settled:
                     continue
                 heapq.heappush(heap, (d + w, counter, y, x))
                 counter += 1
-
-    def _set_label(
-        self, node: Node, rank_h: int, dist: float, parent: Node | None
-    ) -> None:
-        """Insert or tighten ``node``'s entry for hub rank ``rank_h``."""
-        ranks = self._ranks[node]
-        idx = bisect_left(ranks, rank_h)
-        if idx < len(ranks) and ranks[idx] == rank_h:
-            self._dists[node][idx] = dist
-            self._parents[node][idx] = parent
-        else:
-            ranks.insert(idx, rank_h)
-            self._dists[node].insert(idx, dist)
-            self._parents[node].insert(idx, parent)
-
-    # ------------------------------------------------------------------
-    # representation management (per-node rows <-> flat columns)
-    # ------------------------------------------------------------------
-    def _rows(
-        self,
-    ) -> (
-        tuple[
-            dict[Node, list[int]],
-            dict[Node, list[float]],
-            dict[Node, list[Node | None]],
-        ]
-        | None
-    ):
-        """The per-node row dicts, or ``None`` once frozen.
-
-        All three attributes are read before deciding: a concurrent
-        freeze publishes the flat store *first* and only then drops the
-        rows, so a reader that catches the drop mid-flight gets ``None``
-        here, falls back to ``self._flat``, and never sees a half-null
-        state.
-        """
-        ranks, dists, parents = self._ranks, self._dists, self._parents
-        if ranks is None or dists is None or parents is None:
-            return None
-        return ranks, dists, parents
-
-    def _freeze(self) -> FlatLabelStore:
-        """Freeze the row dicts into an immutable flat store.
-
-        Publish order matters for the engine's share-one-oracle reads:
-        ``_flat`` is set before the rows are dropped, so concurrent
-        queries always find one complete representation.  Racing
-        freezers build identical stores (rows only change under the
-        engine's write lock, on private clones), so a duplicate publish
-        is benign.
-        """
-        rows = self._rows()
-        if rows is None:
-            return self._flat
-        start = time.perf_counter()
-        flat = FlatLabelStore.from_rows(self._order, self._rank, *rows)
-        registry = obs.global_registry()
-        registry.counter("pll_freezes").inc()
-        registry.reservoir("pll_freeze").observe(time.perf_counter() - start)
-        self._flat = flat
-        self._ranks = None
-        self._dists = None
-        self._parents = None
-        return flat
-
-    def _thaw(self) -> None:
-        """Materialize row dicts from the flat store before a mutation.
-
-        Rows are rebuilt first and the store dropped last, mirroring
-        :meth:`_freeze`'s publish order; mutations themselves are only
-        legal under exclusive access (the engine replays them onto
-        private clones), as everywhere else in this class.
-        """
-        flat = self._flat
-        if flat is None:
-            return
-        if self._rows() is None:
-            order = self._order
-            ranks: dict[Node, list[int]] = {}
-            dists: dict[Node, list[float]] = {}
-            parents: dict[Node, list[Node | None]] = {}
-            for row, node in enumerate(order):
-                row_ranks, row_dists, row_parents = flat.row_lists(row)
-                ranks[node] = row_ranks
-                dists[node] = row_dists
-                parents[node] = [None if p < 0 else order[p] for p in row_parents]
-            self._ranks = ranks
-            self._dists = dists
-            self._parents = parents
-        self._flat = None
 
     # ------------------------------------------------------------------
     # queries
@@ -586,9 +525,8 @@ class PrunedLandmarkLabeling:
             if u not in self._rank:
                 raise GraphError(f"node {u!r} not in index")
             return 0.0
-        flat = self._flat or self._freeze()
         try:
-            return flat.merge_join_rows(self._rank[u], self._rank[v])
+            return self._flat.merge_join_rows(self._rank[u], self._rank[v])
         except KeyError as exc:
             raise GraphError(f"node {exc.args[0]!r} not in index") from None
 
@@ -624,13 +562,12 @@ class PrunedLandmarkLabeling:
         """
         start = time.perf_counter()
         cold = source not in self._source_cache
-        flat = self._flat or self._freeze()
         if self._use_numpy:
             effective = "numpy"
-            out = self._distances_from_vector(flat, source, targets)
+            out = self._distances_from_vector(source, targets)
         else:
             effective = "stdlib"
-            out = self._distances_from_flat(flat, source, targets)
+            out = self._distances_from_flat(source, targets)
         elapsed = time.perf_counter() - start
         self._count(effective, 1, len(out), elapsed)
         if cold:
@@ -655,7 +592,6 @@ class PrunedLandmarkLabeling:
         if not self._use_numpy:
             return distance_matrix_from_rows(self, sources, targets)
         start = time.perf_counter()
-        flat = self._flat or self._freeze()
         source_list = list(sources)
         key = tuple(targets)
         last = self._target_cols
@@ -668,7 +604,7 @@ class PrunedLandmarkLabeling:
         for i, source in enumerate(source_list):
             row_start = time.perf_counter()
             cold = source not in self._source_cache
-            out[i] = self._vector(flat, source)[cols]
+            out[i] = self._vector(source)[cols]
             if cold:
                 elapsed = time.perf_counter() - row_start
                 self._record_query("numpy", elapsed, len(cols))
@@ -698,7 +634,7 @@ class PrunedLandmarkLabeling:
             )
 
     def _distances_from_flat(
-        self, flat: FlatLabelStore, source: Node, targets: Iterable[Node]
+        self, source: Node, targets: Iterable[Node]
     ) -> dict[Node, float]:
         """Stdlib flat kernel: dense scatter of the source row, then one
         indexed gather per target label entry."""
@@ -726,24 +662,24 @@ class PrunedLandmarkLabeling:
                     continue
             out[target] = d
         if pending:
-            mins = flat.batch_row_mins(src_row, [row for _, row in pending])
+            mins = self._flat.batch_row_mins(src_row, [row for _, row in pending])
             for (target, _), d in zip(pending, mins):
                 out[target] = d
                 cache[target] = d
         return out
 
     def _distances_from_vector(
-        self, flat: FlatLabelStore, source: Node, targets: Iterable[Node]
+        self, source: Node, targets: Iterable[Node]
     ) -> dict[Node, float]:
         """Numpy kernel: one fancy-index gather from the source's
         memoized distance vector.  ``.tolist()`` converts binary64
         exactly; plain floats keep downstream arithmetic and JSON
         numpy-free."""
         target_list = list(targets)
-        gathered = self._vector(flat, source)[self._rows_of(target_list)]
+        gathered = self._vector(source)[self._rows_of(target_list)]
         return dict(zip(target_list, gathered.tolist()))
 
-    def _vector(self, flat: FlatLabelStore, source: Node):
+    def _vector(self, source: Node):
         """``source``'s distance to every row, as a read-only float64
         ndarray memoized per source (one store pass when cold).
 
@@ -758,7 +694,7 @@ class PrunedLandmarkLabeling:
             if src_row is None:
                 raise GraphError(f"node {source!r} not in index")
             evict_for_insert(self._source_cache, self.MAX_CACHED_SOURCES)
-            vector = flat.row_mins_numpy(src_row)
+            vector = self._flat.row_mins_numpy(src_row)
             vector.flags.writeable = False
             self._source_cache[source] = vector
         return vector
@@ -819,15 +755,14 @@ class PrunedLandmarkLabeling:
         return path
 
     def _best_hub(self, u: Node, v: Node) -> Node | None:
-        flat = self._flat or self._freeze()
-        best_rank = flat.best_hub_rank(self._rank[u], self._rank[v])
+        best_rank = self._flat.best_hub_rank(self._rank[u], self._rank[v])
         if best_rank < 0:
             return None
         return self._order[best_rank]
 
     def _parent_entry(self, node: Node, hub_rank: int) -> tuple[bool, Node | None]:
         """``(found, parent)`` for ``node``'s label entry at ``hub_rank``."""
-        flat = self._flat or self._freeze()
+        flat = self._flat
         start, stop = flat.row_bounds(self._rank[node])
         idx = bisect_left(flat.ranks, hub_rank, start, stop)
         if idx < stop and flat.ranks[idx] == hub_rank:
@@ -877,28 +812,15 @@ class PrunedLandmarkLabeling:
         :meth:`from_flat_labels` (which guards untrusted snapshot
         bytes), cloning a live in-process index is a trusted path, so no
         permutation check applies.  ``pll_build_count`` is not bumped.
+        The clone shares this index's immutable label store, so no
+        label entry is copied; its first write publishes its own store.
         """
         index = type(self).__new__(type(self))
         index._graph = self._graph.copy() if graph is None else graph
         index._order = list(self._order)
         index._rank = dict(self._rank)
         index._use_numpy = self._use_numpy
-        rows = self._rows()
-        if rows is not None:
-            all_ranks, all_dists, all_parents = rows
-            index._ranks = {u: list(r) for u, r in all_ranks.items()}
-            index._dists = {u: list(d) for u, d in all_dists.items()}
-            index._parents = {u: list(p) for u, p in all_parents.items()}
-            index._flat = None
-        else:
-            index._ranks = None
-            index._dists = None
-            index._parents = None
-            # The flat store is immutable, so the clone shares it — an
-            # O(1) clone; the clone's first mutation thaws into its own
-            # private rows.  Read after _rows() returned None: the
-            # freeze that dropped the rows published the store first.
-            index._flat = self._flat
+        index._flat = self._flat
         index._source_cache = {}
         index.incremental_updates = self.incremental_updates
         return index
@@ -907,7 +829,7 @@ class PrunedLandmarkLabeling:
     # persistence hooks (see repro.storage)
     # ------------------------------------------------------------------
     def export_flat_labels(self) -> dict:
-        """The complete index state as flat columns — zero-copy when frozen.
+        """The complete index state as flat columns — zero-copy.
 
         Returns ``{"order", "counts", "ranks", "dists", "parents",
         "incremental_updates"}`` where ``counts`` holds per-node entry
@@ -915,11 +837,11 @@ class PrunedLandmarkLabeling:
         concatenated label rows as :mod:`array` arrays (parents
         rank-encoded, ``-1`` for none) — exactly the snapshot codec's
         on-disk layout, so encoding each column is one ``tobytes``
-        memcpy.  A frozen index hands out the live store's own columns;
-        callers must treat them as read-only.  :meth:`from_flat_labels`
+        memcpy.  The index hands out its store's own columns; callers
+        must treat them as read-only.  :meth:`from_flat_labels`
         adopts them back without inflation.
         """
-        flat = self._flat or self._freeze()
+        flat = self._flat
         return {
             "order": list(self._order),
             "counts": flat.row_counts(),
@@ -937,8 +859,7 @@ class PrunedLandmarkLabeling:
 
         The warm-start path: the decoded snapshot
         columns become the live query representation directly, so
-        restoring an index performs no per-entry work at all (rows are
-        materialized lazily only if the index is later mutated).  The
+        restoring an index performs no per-entry work at all.  The
         same permutation guard applies; column-length disagreement (a
         truncated snapshot) raises :class:`GraphError`.
         ``pll_build_count`` is not bumped.
@@ -975,9 +896,6 @@ class PrunedLandmarkLabeling:
             )
         except ValueError as exc:
             raise GraphError(str(exc)) from None
-        index._ranks = None
-        index._dists = None
-        index._parents = None
         index._source_cache = {}
         index.incremental_updates = int(state["incremental_updates"])
         return index
@@ -994,18 +912,14 @@ class PrunedLandmarkLabeling:
 
     @property
     def total_label_entries(self) -> int:
-        flat = self._flat
-        if flat is not None:
-            return flat.total_entries
-        rows = self._rows()
-        if rows is None:  # frozen mid-call
-            return self.total_label_entries
-        return sum(len(r) for r in rows[0].values())
+        return self._flat.total_entries
 
     def label_of(self, node: Node) -> list[tuple[Node, float]]:
         """Return ``node``'s label as ``[(landmark, distance), ...]``."""
-        flat = self._flat or self._freeze()
-        row_ranks, row_dists, _ = flat.row_lists(self._rank[node])
+        row = self._rank.get(node)
+        if row is None:
+            raise GraphError(f"node {node!r} not in index")
+        row_ranks, row_dists, _ = self._flat.row_lists(row)
         order = self._order
         return [(order[r], d) for r, d in zip(row_ranks, row_dists)]
 
@@ -1016,6 +930,47 @@ class PrunedLandmarkLabeling:
         and by index-size diagnostics.
         """
         return {node: self.label_of(node) for node in self._order}
+
+
+class _LabelEdit(dict):
+    """One write call's label rows over an immutable :class:`FlatLabelStore`.
+
+    ``edit[row]`` is the row's ``(hub ranks, distances, parent ranks)``
+    as lists, copied out of the store on first access, so prune checks
+    merge-join plain lists at the cost of one dict lookup.
+    :meth:`set_label` edits a copy; :meth:`publish` splices only the
+    edited rows into a new store.
+    """
+
+    def __init__(self, flat: FlatLabelStore) -> None:
+        super().__init__()
+        self._flat = flat
+        self._written: set[int] = set()
+
+    def __missing__(self, row: int) -> tuple[list[int], list[float], list[int]]:
+        entry = self[row] = self._flat.row_lists(row)
+        return entry
+
+    def set_label(self, row: int, rank_h: int, dist: float, parent_rank: int) -> None:
+        """Insert or tighten ``row``'s entry for hub rank ``rank_h``."""
+        ranks, dists, parents = self[row]
+        self._written.add(row)
+        idx = bisect_left(ranks, rank_h)
+        if idx < len(ranks) and ranks[idx] == rank_h:
+            dists[idx] = dist
+            parents[idx] = parent_rank
+        else:
+            ranks.insert(idx, rank_h)
+            dists.insert(idx, dist)
+            parents.insert(idx, parent_rank)
+
+    def append(self, row: int) -> None:
+        """A new row past the store's end holding only its self-label."""
+        self[row] = ([row], [0.0], [-1])
+        self._written.add(row)
+
+    def publish(self) -> FlatLabelStore:
+        return self._flat.splice({row: self[row] for row in self._written})
 
 
 def _merge_join_min(

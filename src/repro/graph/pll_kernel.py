@@ -37,13 +37,19 @@ their answers are bit-identical to each other and to the merge join —
 the byte-identity contract the engine, the replica pool and the
 snapshot round-trip tests all pin.
 
-The store is immutable: mutation paths in :mod:`repro.graph.pll` thaw
-it back into per-node lists, apply their resumed pruned Dijkstras, and
-re-freeze lazily on the next query.
+The store is immutable.  A PLL build assembles its first store from
+per-node lists (:meth:`FlatLabelStore.from_rows`); each later write
+call in :mod:`repro.graph.pll` copies the rows it reads into lists and
+publishes a new store with the rows it rewrote through
+:meth:`FlatLabelStore.splice`, so readers of the old store — and clones
+sharing it — never see a change.  Both record one publication in the
+``pll_freezes`` counter and the ``pll_freeze`` reservoir (assembly
+seconds).
 """
 
 from __future__ import annotations
 
+import time
 from array import array
 from collections.abc import Iterable, Sequence
 
@@ -79,14 +85,22 @@ def numpy_available() -> bool:
     return _np is not None
 
 
+def _record_publication(start: float) -> None:
+    """One store publication, assembled since ``start``."""
+    registry = obs.global_registry()
+    registry.counter("pll_freezes").inc()
+    registry.reservoir("pll_freeze").observe(time.perf_counter() - start)
+
+
 class FlatLabelStore:
     """Immutable flat-array (CSR-style) 2-hop-cover label columns.
 
     Row ``i`` holds the label of the node at landmark rank ``i``; within
-    a row, hub ranks are strictly ascending.  Constructed either from
-    per-node lists (:meth:`from_rows`, the build/mutation
-    representation) or by adopting already-flat columns
-    (:meth:`from_columns`, the zero-copy snapshot warm-start path).
+    a row, hub ranks are strictly ascending.  Constructed from a
+    build's per-node lists (:meth:`from_rows`), by adopting
+    already-flat columns (:meth:`from_columns`, the zero-copy snapshot
+    warm-start path), or from another store with some rows replaced
+    (:meth:`splice`, the write path).
     """
 
     __slots__ = ("offsets", "ranks", "dists", "parents", "_np_cols")
@@ -116,12 +130,13 @@ class FlatLabelStore:
         row_dists: dict,
         row_parents: dict,
     ) -> "FlatLabelStore":
-        """Freeze per-node label lists into flat columns.
+        """Flatten a build's per-node label lists into columns.
 
         ``row_parents`` holds node ids (or ``None``); they are encoded
         as landmark ranks via ``rank_of`` so the columns carry no object
         references at all.
         """
+        start = time.perf_counter()
         obs.global_registry().counter("flat_store_from_rows").inc()
         offsets = array(OFFSET_TYPECODE, [0])
         ranks = array(RANK_TYPECODE)
@@ -135,6 +150,7 @@ class FlatLabelStore:
                 for parent in row_parents[node]
             )
             offsets.append(len(ranks))
+        _record_publication(start)
         return cls(offsets, ranks, dists, parents)
 
     @classmethod
@@ -164,6 +180,48 @@ class FlatLabelStore:
             )
         return cls(offsets, ranks, dists, parents)
 
+    def splice(
+        self, rows: dict[int, tuple[Sequence[int], Sequence[float], Sequence[int]]]
+    ) -> "FlatLabelStore":
+        """A new store with ``rows`` replaced; this one is left untouched.
+
+        ``rows`` maps a row index to its full ``(ranks, dists, parent
+        ranks)`` columns; indexes from :attr:`num_rows` on append rows
+        and must leave no gap.  The spans between replaced rows are
+        copied with one slice copy per column.  An empty ``rows``
+        returns this store itself.
+        """
+        start = time.perf_counter()
+        if not rows:
+            _record_publication(start)
+            return self
+        old_offsets, num_rows = self.offsets, self.num_rows
+        offsets = array(OFFSET_TYPECODE, [0])
+        ranks = array(RANK_TYPECODE)
+        dists = array(DIST_TYPECODE)
+        parents = array(PARENT_TYPECODE)
+        copied = 0  # rows below this index are already in the new columns
+        for row in [*sorted(rows), None]:
+            stop = num_rows if row is None else min(row, num_rows)
+            if copied < stop:
+                lo, hi = old_offsets[copied], old_offsets[stop]
+                shift = len(ranks) - lo
+                ranks.extend(self.ranks[lo:hi])
+                dists.extend(self.dists[lo:hi])
+                parents.extend(self.parents[lo:hi])
+                span = old_offsets[copied + 1 : stop + 1]
+                offsets.extend(span if shift == 0 else (o + shift for o in span))
+            if row is None:
+                break
+            row_ranks, row_dists, row_parents = rows[row]
+            ranks.extend(row_ranks)
+            dists.extend(row_dists)
+            parents.extend(row_parents)
+            offsets.append(len(ranks))
+            copied = row + 1
+        _record_publication(start)
+        return type(self)(offsets, ranks, dists, parents)
+
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
@@ -185,7 +243,9 @@ class FlatLabelStore:
         return [offsets[i + 1] - offsets[i] for i in range(self.num_rows)]
 
     def row_lists(self, row: int) -> tuple[list[int], list[float], list[int]]:
-        """One row's columns as plain lists (thaw / inspection path)."""
+        """One row's columns as plain lists, parents as ranks: the copy a
+        write reads and edits before :meth:`splice` (and the inspection
+        path)."""
         start, stop = self.offsets[row], self.offsets[row + 1]
         return (
             self.ranks[start:stop].tolist(),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.api import TeamFormationEngine, TeamRequest
 from repro.expertise import Expert, ExpertNetwork
 from repro.graph.pll import pll_build_count
@@ -45,7 +46,8 @@ def test_regression_mutation_between_solves_is_visible(network, oracle_kind):
     assert sorted(before.team.members) == ["han", "liu", "ren"]
     # A near-free direct collaboration makes the golshan/kotzias team
     # strictly cheaper in pure communication cost.
-    network.add_collaboration("golshan", "kotzias", weight=0.01)
+    with engine.mutate() as net:
+        net.add_collaboration("golshan", "kotzias", weight=0.01)
     after = engine.solve(request)
     assert sorted(after.team.members) == ["golshan", "kotzias"]
     assert_not_stale(engine, request)
@@ -55,7 +57,8 @@ def test_edge_insertion_upgrades_incrementally_without_rebuild(network):
     engine = TeamFormationEngine(network)
     request = TeamRequest(skills=PROJECT, solver="greedy")
     engine.solve(request)
-    network.add_collaboration("golshan", "kotzias", weight=0.01)
+    with engine.mutate() as net:
+        net.add_collaboration("golshan", "kotzias", weight=0.01)
     before = pll_build_count()
     assert_not_stale(engine, request)  # fresh engine pays its own build
     served_builds = pll_build_count() - before
@@ -66,8 +69,9 @@ def test_add_expert_and_edge_are_incremental_and_visible(network):
     engine = TeamFormationEngine(network)
     request = TeamRequest(skills=("SN", "TM", "QC"), solver="greedy")
     assert not engine.solve(request).found  # QC uncovered
-    network.add_expert(Expert("quine", skills={"QC"}, h_index=30))
-    network.add_collaboration("quine", "han", weight=0.1)
+    with engine.mutate() as net:
+        net.add_expert(Expert("quine", skills={"QC"}, h_index=30))
+        net.add_collaboration("quine", "han", weight=0.1)
     before = pll_build_count()
     response = engine.solve(request)
     assert pll_build_count() - before == 0  # absorbed in place
@@ -76,12 +80,36 @@ def test_add_expert_and_edge_are_incremental_and_visible(network):
     assert_not_stale(engine, request)
 
 
+def test_replayed_delta_publishes_one_label_store_per_oracle(network):
+    """A multi-step delta reaches each PLL as one ``apply`` call."""
+    engine = TeamFormationEngine(network)
+    request = TeamRequest(skills=("SN", "TM", "QC"), solver="greedy")
+    engine.solve(request)
+    with engine.mutate() as net:
+        net.add_expert(Expert("quine", skills={"QC"}, h_index=30))
+        net.add_collaboration("quine", "han", weight=0.1)
+        net.add_collaboration("golshan", "kotzias", weight=0.01)
+        net.add_collaboration("quine", "ren", weight=0.2)
+    registry = obs.global_registry()
+    replays = registry.counter("engine_journal_replays").value
+    stores = registry.counter("pll_freezes").value
+    builds = pll_build_count()
+    assert engine.solve(request).found
+    replayed = registry.counter("engine_journal_replays").value - replays
+    assert replayed >= 1
+    assert pll_build_count() == builds
+    assert registry.counter("pll_freezes").value - stores == replayed
+    assert_not_stale(engine, request)
+
+
 def test_removal_falls_back_to_rebuild(network):
     engine = TeamFormationEngine(network)
     request = TeamRequest(skills=PROJECT, solver="greedy", objective="cc")
-    network.add_collaboration("golshan", "kotzias", weight=0.01)
+    with engine.mutate() as net:
+        net.add_collaboration("golshan", "kotzias", weight=0.01)
     engine.solve(request)
-    network.remove_collaboration("golshan", "kotzias")
+    with engine.mutate() as net:
+        net.remove_collaboration("golshan", "kotzias")
     before = pll_build_count()
     response = engine.solve(request)
     assert pll_build_count() - before == 1  # rebuild, not incremental
@@ -92,9 +120,11 @@ def test_removal_falls_back_to_rebuild(network):
 def test_weight_increase_falls_back_to_rebuild(network):
     engine = TeamFormationEngine(network)
     request = TeamRequest(skills=PROJECT, solver="greedy", objective="cc")
-    network.add_collaboration("golshan", "kotzias", weight=0.01)
+    with engine.mutate() as net:
+        net.add_collaboration("golshan", "kotzias", weight=0.01)
     engine.solve(request)
-    network.add_collaboration("golshan", "kotzias", weight=4.0)
+    with engine.mutate() as net:
+        net.add_collaboration("golshan", "kotzias", weight=4.0)
     before = pll_build_count()
     assert sorted(engine.solve(request).team.members) == ["han", "liu", "ren"]
     assert pll_build_count() - before == 1
@@ -111,8 +141,9 @@ def test_insert_then_increase_chain_is_net_insertion(network):
     engine = TeamFormationEngine(network)
     request = TeamRequest(skills=PROJECT, solver="greedy", objective="cc")
     engine.solve(request)
-    network.add_collaboration("golshan", "kotzias", weight=0.5)
-    network.add_collaboration("golshan", "kotzias", weight=2.0)
+    with engine.mutate() as net:
+        net.add_collaboration("golshan", "kotzias", weight=0.5)
+        net.add_collaboration("golshan", "kotzias", weight=2.0)
     before = pll_build_count()
     engine.solve(request)
     assert pll_build_count() - before == 0  # net insertion: no rebuild
@@ -122,7 +153,8 @@ def test_insert_then_increase_chain_is_net_insertion(network):
 def test_skill_update_reuses_index_untouched(network):
     engine = TeamFormationEngine(network)
     engine.solve(TeamRequest(skills=PROJECT, solver="greedy"))
-    network.update_skills("bridge", {"SN", "TM"})
+    with engine.mutate() as net:
+        net.update_skills("bridge", {"SN", "TM"})
     before = pll_build_count()
     response = engine.solve(TeamRequest(skills=PROJECT, solver="greedy"))
     assert pll_build_count() - before == 0  # skills never touch distances
@@ -136,7 +168,8 @@ def test_h_index_update_rebuilds_fold_but_not_cc(network):
     cc = TeamRequest(skills=PROJECT, solver="greedy", objective="cc")
     engine.solve(fold)
     engine.solve(cc)
-    network.update_h_index("lappas", 200)
+    with engine.mutate() as net:
+        net.update_h_index("lappas", 200)
     before = pll_build_count()
     engine.solve(cc)
     assert pll_build_count() - before == 0  # cc ignores authority
@@ -150,8 +183,9 @@ def test_remove_expert_referenced_by_pending_request(network):
     engine = TeamFormationEngine(network)
     request = TeamRequest(skills=("DB",), solver="greedy")
     assert engine.solve(request).found
-    network.remove_expert("golshan")
-    network.remove_expert("kotzias")
+    with engine.mutate() as net:
+        net.remove_expert("golshan")
+        net.remove_expert("kotzias")
     response = engine.solve(request)
     assert not response.found
     assert response.team is None
@@ -162,7 +196,8 @@ def test_cached_oracle_keys_evict_stale_versions(network):
     engine = TeamFormationEngine(network)
     request = TeamRequest(skills=PROJECT, solver="greedy")
     for weight in (0.9, 0.8, 0.7, 0.6):
-        network.add_collaboration("liu", "ren", weight=weight)
+        with engine.mutate() as net:
+            net.add_collaboration("liu", "ren", weight=weight)
         engine.solve(request)
     keys = engine.cached_oracle_keys
     assert len(keys) == 1  # one base, stale versions re-keyed away
@@ -177,9 +212,11 @@ def test_apply_updates_reports_reconciliation(network):
     engine.solve(TeamRequest(skills=PROJECT, solver="greedy"))  # fold
     engine.solve(TeamRequest(skills=PROJECT, solver="rarest_first"))  # raw
     assert engine.apply_updates() == {"cached": 2, "incremental": 0, "rebuilt": 0}
-    network.add_collaboration("liu", "lappas", weight=0.2)
+    with engine.mutate() as net:
+        net.add_collaboration("liu", "lappas", weight=0.2)
     assert engine.apply_updates() == {"cached": 0, "incremental": 2, "rebuilt": 0}
-    network.remove_collaboration("liu", "lappas")
+    with engine.mutate() as net:
+        net.remove_collaboration("liu", "lappas")
     report = engine.apply_updates()
     assert report == {"cached": 0, "incremental": 0, "rebuilt": 2}
     assert_not_stale(engine, TeamRequest(skills=PROJECT, solver="greedy"))
@@ -190,8 +227,9 @@ def test_journal_truncation_forces_correct_rebuild(network, monkeypatch):
     engine = TeamFormationEngine(network)
     request = TeamRequest(skills=PROJECT, solver="greedy")
     engine.solve(request)
-    for weight in (0.9, 0.7, 0.5, 0.3):
-        network.add_collaboration("golshan", "kotzias", weight=weight)
+    with engine.mutate() as net:
+        for weight in (0.9, 0.7, 0.5, 0.3):
+            net.add_collaboration("golshan", "kotzias", weight=weight)
     assert network.mutations_since(0) is None  # history gone
     before = pll_build_count()
     engine.solve(request)
@@ -202,7 +240,8 @@ def test_journal_truncation_forces_correct_rebuild(network, monkeypatch):
 def test_refresh_scales_drops_caches_and_rescales(network):
     engine = TeamFormationEngine(network)
     engine.solve(TeamRequest(skills=PROJECT, solver="greedy"))
-    network.add_collaboration("liu", "lappas", weight=50.0)  # new max weight
+    with engine.mutate() as net:
+        net.add_collaboration("liu", "lappas", weight=50.0)  # new max weight
     old_edge_scale = engine.scales.edge_scale
     scales = engine.refresh_scales()
     assert scales.edge_scale == 50.0 != old_edge_scale
@@ -214,7 +253,8 @@ def test_solve_many_straddling_a_mutation(network):
     engine = TeamFormationEngine(network)
     request = TeamRequest(skills=PROJECT, solver="greedy", objective="cc")
     first = engine.solve(request)
-    network.add_collaboration("golshan", "kotzias", weight=0.01)
+    with engine.mutate() as net:
+        net.add_collaboration("golshan", "kotzias", weight=0.01)
     second, third = engine.solve_many([request, request])
     assert sorted(first.team.members) == ["han", "liu", "ren"]
     assert second.team == third.team

@@ -67,6 +67,13 @@ def test_unknown_node_raises(small_graph):
         pll.distance("ghost", "ghost")
 
 
+def test_label_of_unknown_node_raises_graph_error(small_graph):
+    # Like distance / distances_from / path: a typed miss, not a KeyError.
+    pll = PrunedLandmarkLabeling(small_graph)
+    with pytest.raises(GraphError, match="'zz' not in index"):
+        pll.label_of("zz")
+
+
 def test_custom_order_must_be_permutation(small_graph):
     with pytest.raises(GraphError):
         PrunedLandmarkLabeling(small_graph, order=["a", "b"])

@@ -21,11 +21,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import obs
 from repro.graph.adjacency import Graph, GraphError
 from repro.graph.dijkstra import dijkstra
 from repro.graph.pll import PrunedLandmarkLabeling, pll_build_count
 
 from ..conftest import AVAILABLE_PLL_KERNELS, build_pll
+from .pll_reference import RowDictReference
 
 #: Quarter-integer weights: closed under addition without rounding, so
 #: "exactly equal" below means exactly equal.
@@ -210,16 +212,37 @@ def test_incremental_updates_counter():
     assert pll.incremental_updates == 2
 
 
+def test_apply_publishes_one_store_and_keeps_steps_before_a_failure():
+    graph = Graph.from_edges([("a", "b", 1.0), ("b", "c", 1.0)])
+    pll = PrunedLandmarkLabeling(graph)
+    stores = obs.global_registry().counter("pll_freezes")
+    before = stores.value
+    pll.apply([("node", "z"), ("edge", "c", "z", 0.5), ("edge", "a", "c", 1.0)])
+    assert stores.value == before + 1
+    assert pll.incremental_updates == 3
+    assert pll.distance("a", "z") == 1.5
+    with pytest.raises(GraphError):
+        pll.apply([("edge", "a", "z", 0.25), ("edge", "a", "q", 1.0)])
+    assert pll.incremental_updates == 4
+    assert pll.distance("a", "z") == 0.25
+    assert pll.distances_from("z", ["a", "c"]) == {"a": 0.25, "c": 0.5}
+
+
 # ----------------------------------------------------------------------
 # both kernels after mutations, and zero-build round-trips
 # ----------------------------------------------------------------------
-def _apply_random_mutations(data, pll: PrunedLandmarkLabeling, num_nodes: int) -> int:
-    """Draw and apply a random add_node / insert_edge sequence."""
+def _apply_random_mutations(data, indexes, num_nodes: int) -> int:
+    """Draw a random add_node / insert_edge sequence; apply it to each index.
+
+    The indexes must hold equal graphs; the first one's graph decides
+    which drawn weights are decreases.
+    """
     num_ops = data.draw(st.integers(min_value=1, max_value=6), label="ops")
-    graph = pll._graph
+    graph = indexes[0]._graph
     for op in range(num_ops):
         if data.draw(st.booleans(), label=f"op{op}-is-node"):
-            pll.add_node(num_nodes)
+            for index in indexes:
+                index.add_node(num_nodes)
             num_nodes += 1
         else:
             u = data.draw(
@@ -233,7 +256,8 @@ def _apply_random_mutations(data, pll: PrunedLandmarkLabeling, num_nodes: int) -
             weight = data.draw(weight_st, label=f"w{op}")
             if graph.has_edge(u, v):
                 weight = min(weight, graph.weight(u, v))  # decrease-only
-            pll.insert_edge(u, v, weight)
+            for index in indexes:
+                index.insert_edge(u, v, weight)
     return num_nodes
 
 
@@ -254,7 +278,7 @@ def test_batched_kernels_match_a_fresh_build_after_mutations(data, kernel):
     """Mutated labels == a fresh build's point merge join, on both kernels.
 
     An index absorbs a random ``insert_edge`` / ``add_node`` sequence
-    (freeze/thaw cycling between every query), then every batched and
+    (each write publishing a new label store), then every batched and
     point distance must exactly equal the point merge join
     (:meth:`~PrunedLandmarkLabeling.distance`) of an index built from
     scratch on the mutated graph.
@@ -262,8 +286,8 @@ def test_batched_kernels_match_a_fresh_build_after_mutations(data, kernel):
     graph, num_nodes = _random_graph(data)
     pll = build_pll(graph, kernel)
     nodes = list(graph.nodes())
-    pll.distances_from(nodes[0], nodes)  # freeze before the first mutation
-    _apply_random_mutations(data, pll, num_nodes)
+    pll.distances_from(nodes[0], nodes)  # memoize before the first mutation
+    _apply_random_mutations(data, [pll], num_nodes)
     reference = PrunedLandmarkLabeling(graph)
     nodes = list(graph.nodes())
     for source in nodes:
@@ -285,7 +309,7 @@ def test_label_round_trips_are_zero_build_and_bit_identical(data):
     """
     graph, num_nodes = _random_graph(data)
     pll = PrunedLandmarkLabeling(graph)
-    _apply_random_mutations(data, pll, num_nodes)
+    _apply_random_mutations(data, [pll], num_nodes)
     nodes = list(graph.nodes())
     expected_state = pll.export_flat_labels()
     expected = {source: pll.distances_from(source, nodes) for source in nodes}
@@ -299,3 +323,70 @@ def test_label_round_trips_are_zero_build_and_bit_identical(data):
     assert restored.incremental_updates == pll.incremental_updates
     for source in nodes:
         assert restored.distances_from(source, nodes) == expected[source]
+
+
+class _StepRecorder(list):
+    """Records ``add_node`` / ``insert_edge`` calls as :meth:`apply` steps."""
+
+    def add_node(self, node):
+        self.append(("node", node))
+
+    def insert_edge(self, u, v, weight):
+        self.append(("edge", u, v, weight))
+
+
+def _path_or_none(index, u, v):
+    try:
+        return index.path(u, v)
+    except GraphError:
+        return None
+
+
+@pytest.mark.parametrize("kernel", AVAILABLE_PLL_KERNELS)
+@given(data=st.data())
+def test_spliced_writes_match_the_row_dict_reference(kernel, data):
+    """Store-splicing writes == the row-dict write path, byte for byte.
+
+    Each burst clones the index, applies the same random insertions,
+    weight decreases and ``add_node`` calls to the clone (one call per
+    step, or the whole burst as one :meth:`apply`) and to a
+    :class:`RowDictReference` copied from the clone's source, then
+    checks that the order and all four label columns are byte-equal,
+    that ``path()`` agrees on every pair, and that the source still
+    holds its old store and answers as before.  The next burst clones
+    the clone.
+    """
+    graph, num_nodes = _random_graph(data)
+    index = build_pll(graph, kernel)
+    num_bursts = data.draw(st.integers(min_value=1, max_value=4), label="bursts")
+    for _ in range(num_bursts):
+        nodes = list(index._order)
+        before = {source: index.distances_from(source, nodes) for source in nodes}
+        store = index._flat
+        clone = index.clone()
+        reference = RowDictReference(index)
+        if data.draw(st.booleans(), label="one-apply"):
+            steps = _StepRecorder()
+            num_nodes = _apply_random_mutations(data, [reference, steps], num_nodes)
+            clone.apply(steps)
+        else:
+            num_nodes = _apply_random_mutations(data, [reference, clone], num_nodes)
+
+        got, expected = clone.export_flat_labels(), reference.export_flat_labels()
+        assert got["order"] == expected["order"]
+        assert got["counts"] == expected["counts"]
+        for column in ("ranks", "dists", "parents"):
+            assert got[column].tobytes() == expected[column].tobytes(), column
+        assert got["incremental_updates"] == expected["incremental_updates"]
+        reference_index = reference.index()
+        for u in clone._order:
+            for v in clone._order:
+                assert _path_or_none(clone, u, v) == _path_or_none(
+                    reference_index, u, v
+                )
+
+        assert index._flat is store
+        index.invalidate()  # re-read the store, not the memoized vectors
+        for source in nodes:
+            assert index.distances_from(source, nodes) == before[source]
+        index = clone

@@ -184,7 +184,97 @@ def test_kernels_agree_on_random_stores(data):
 
 
 # ----------------------------------------------------------------------
-# the store a real index freezes
+# splice: the write path's store publication
+# ----------------------------------------------------------------------
+#: Rows of a four-row store with parents, as ``(ranks, dists, parents)``;
+#: row 2 is empty.
+SPLICE_ROWS = [
+    ([0], [0.0], [-1]),
+    ([0, 1], [1.0, 0.0], [0, -1]),
+    ([], [], []),
+    ([0, 3], [2.5, 0.0], [1, -1]),
+]
+
+
+def store_of(rows) -> FlatLabelStore:
+    """A store whose row ``i`` is ``rows[i]``, via ``from_columns``."""
+    return FlatLabelStore.from_columns(
+        [len(r) for r, _, _ in rows],
+        array(RANK_TYPECODE, [x for r, _, _ in rows for x in r]),
+        array(DIST_TYPECODE, [x for _, d, _ in rows for x in d]),
+        array(PARENT_TYPECODE, [x for _, _, p in rows for x in p]),
+    )
+
+
+def assert_same_columns(got: FlatLabelStore, expected: FlatLabelStore) -> None:
+    for column in ("offsets", "ranks", "dists", "parents"):
+        assert getattr(got, column) == getattr(expected, column), column
+        assert getattr(got, column).typecode == getattr(expected, column).typecode
+
+
+def test_splice_with_no_rows_returns_the_same_store():
+    store = store_of(SPLICE_ROWS)
+    assert store.splice({}) is store
+
+
+@pytest.mark.parametrize(
+    "replaced",
+    [
+        {0: ([0], [0.5], [-1])},  # first row
+        {1: ([0, 1, 2], [1.0, 0.0, 0.75], [0, -1, 1])},  # middle row
+        {3: ([3], [0.0], [-1])},  # last row
+        {2: ([0, 2], [0.25, 0.0], [0, -1])},  # a row that was empty
+        {0: ([], [], []), 3: ([0, 1, 3], [1.0, 2.0, 0.0], [0, 1, -1])},
+        {4: ([0, 4], [1.5, 0.0], [0, -1])},  # one row appended
+        {1: ([1], [0.0], [-1]), 4: ([4], [0.0], [-1])},  # replace + append
+    ],
+    ids=["first", "middle", "last", "was-empty", "two", "append", "both"],
+)
+def test_splice_equals_a_store_built_from_the_same_rows(replaced):
+    old = store_of(SPLICE_ROWS)
+    old_columns = [bytes(getattr(old, c)) for c in ("offsets", "ranks", "dists")]
+    rows = list(SPLICE_ROWS) + [None] * (max(replaced) + 1 - len(SPLICE_ROWS))
+    for row, columns in replaced.items():
+        rows[row] = columns
+    spliced = old.splice(replaced)
+    assert_same_columns(spliced, store_of(rows))
+    # The old store is untouched.
+    assert [bytes(getattr(old, c)) for c in ("offsets", "ranks", "dists")] == (
+        old_columns
+    )
+    # from_rows over the same rows (parents as node ids) agrees too.
+    order = [f"n{i}" for i in range(len(rows))]
+    rank_of = {node: i for i, node in enumerate(order)}
+    from_rows = FlatLabelStore.from_rows(
+        order,
+        rank_of,
+        {node: rows[i][0] for i, node in enumerate(order)},
+        {node: rows[i][1] for i, node in enumerate(order)},
+        {
+            node: [None if p < 0 else order[p] for p in rows[i][2]]
+            for i, node in enumerate(order)
+        },
+    )
+    assert_same_columns(spliced, from_rows)
+    # Both kernels answer the spliced store like brute force.
+    pairs = [list(zip(r, d)) for r, d, _ in rows]
+    assert_kernels_identical(spliced, pairs)
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy kernel only")
+def test_spliced_store_computes_its_own_numpy_views():
+    old = store_of(SPLICE_ROWS)
+    old.row_mins_numpy(0)  # caches the old store's intp ranks
+    spliced = old.splice({2: ([0, 2], [0.25, 0.0], [0, -1])})
+    assert spliced._np_cols is None
+    assert spliced.row_mins_numpy(2).tolist() == [0.25, 1.25, 0.0, 2.75]
+    ranks, _, _ = spliced._np_cols
+    assert ranks.tolist() == list(spliced.ranks)
+    assert old._np_cols[0].tolist() == list(old.ranks)
+
+
+# ----------------------------------------------------------------------
+# the store a real index builds
 # ----------------------------------------------------------------------
 def test_frozen_index_store_matches_label_semantics():
     graph = Graph.from_edges(
@@ -192,9 +282,7 @@ def test_frozen_index_store_matches_label_semantics():
     )
     pll = PrunedLandmarkLabeling(graph)
     nodes = list(graph.nodes())
-    pll.distances_from(nodes[0], nodes)  # force the freeze
     store = pll._flat
-    assert store is not None
     assert store.num_rows == len(nodes)
     assert store.row_counts() == [
         len(pll.label_of(node)) for node in pll._order
