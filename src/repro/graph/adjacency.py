@@ -230,19 +230,35 @@ class Graph:
         the (hash-seed dependent) order of the ``nodes`` iterable, so the
         result is bit-for-bit reproducible across processes — the same
         guarantee PR 4 established for ``ExpertNetwork.subnetwork``.
+
+        Built in one pass over the adjacency dicts: each edge is added
+        from its endpoint that comes first in the parent's order, which
+        reproduces, per node, the neighbor order of inserting the edges
+        one by one in that walk.
         """
         keep = set(nodes)
         missing = [n for n in keep if n not in self._adj]
         if missing:
             raise GraphError(f"nodes not in graph: {missing!r}")
-        ordered = [n for n in self._adj if n in keep]
+        pos: dict[Node, int] = {}
+        for node in self._adj:
+            if node in keep:
+                pos[node] = len(pos)
         sub = Graph()
-        for node in ordered:
-            sub.add_node(node, **self._node_data[node])
-        for node in ordered:
-            for neighbor, w in self._adj[node].items():
-                if neighbor in keep and not sub.has_edge(node, neighbor):
-                    sub.add_edge(node, neighbor, weight=w)
+        adj = sub._adj
+        for node in pos:
+            adj[node] = {}
+            sub._node_data[node] = dict(self._node_data[node])
+        num_edges = 0
+        for u, p in pos.items():
+            row = adj[u]
+            for v, w in self._adj[u].items():
+                q = pos.get(v)
+                if q is not None and q > p:
+                    row[v] = w
+                    adj[v][u] = w
+                    num_edges += 1
+        sub._num_edges = num_edges
         return sub
 
     def copy(self) -> "Graph":

@@ -20,15 +20,16 @@ from __future__ import annotations
 __all__ = ["evict_for_insert"]
 
 
-def evict_for_insert(cache: dict, bound: int) -> None:
+def evict_for_insert(cache: dict, bound: int) -> bool:
     """Make room in ``cache`` for one more entry under ``bound`` keys.
 
     Pops the oldest (first-inserted) key when the cache is full,
     tolerating concurrent evictors; no-op while under the bound.
+    Returns whether this call popped a key (for eviction counters).
     """
     if len(cache) < bound:
-        return
+        return False
     try:
-        cache.pop(next(iter(cache)), None)
+        return cache.pop(next(iter(cache)), None) is not None
     except (StopIteration, RuntimeError):
-        pass
+        return False

@@ -699,6 +699,25 @@ class PrunedLandmarkLabeling:
             self._source_cache[source] = vector
         return vector
 
+    def distance_vector(self, source: Node):
+        """``source``'s memoized distance to every node, indexed by
+        landmark rank: the read-only float64 vector :meth:`distances_from`
+        gathers from (numpy kernel only).
+
+        The sharded oracle scatters these into its global vectors.
+        Instrumented like a :meth:`distances_from` call over every node:
+        one kernel query, and a ``pll.query`` span when ``source`` is
+        cold.
+        """
+        start = time.perf_counter()
+        cold = source not in self._source_cache
+        vector = self._vector(source)
+        elapsed = time.perf_counter() - start
+        self._count("numpy", 1, len(vector), elapsed)
+        if cold:
+            self._record_query("numpy", elapsed, len(vector))
+        return vector
+
     def _rows_of(self, targets: Iterable[Node]):
         """Landmark ranks of ``targets`` as an ``intp`` index array."""
         rank = self._rank

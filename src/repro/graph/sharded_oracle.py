@@ -50,6 +50,20 @@ alters the plan itself (a new node, an edge that bypasses a cut vertex)
 is outside this scheme: the caller builds a fresh oracle over the new
 plan.
 
+Queries memoize each source's full answer in a bounded FIFO memo.
+With numpy the answer is one read-only float64 vector over the graph's
+node order, built in the three phases of the formula above: the home
+shards' memoized PLL vectors are ``np.minimum``-scattered in through
+each shard's map from landmark rank to global column; the boundary
+potential ``g = min_i(local(u, b_i) + B[i])`` is one min-plus over the
+``(nb, nb)`` summary matrix; and each boundary member ``b`` with finite
+``g[b]`` relaxes its shard's columns with ``g[b] + local(b, .)``.  Every
+candidate is the same single IEEE add as in the stdlib path and ``min``
+is exact, so a ``distance_matrix`` row (one gather) is bit-identical to
+the ``{node: distance}`` dict that path builds.  The dict path is the
+kernel of installs without numpy, picked at construction as the PLL
+picks its own, and the reference the vector path is tested against.
+
 Determinism: shard subgraphs inherit the parent graph's insertion order,
 per-shard builds use the standard deterministic batch schedule,
 summary edges resolve ties toward the lowest shard index, and
@@ -72,6 +86,12 @@ from .pll import (
     all_pairs_distances,
     distance_matrix_from_rows,
 )
+from .pll_kernel import numpy_available
+
+try:  # optional: the vector memo (the dict memo serves without numpy)
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy-less environments
+    _np = None
 
 __all__ = ["ShardedPLLOracle"]
 
@@ -91,9 +111,14 @@ class ShardedPLLOracle:
     :meth:`rebuild_shards` for everything else, both meant for a
     :meth:`clone` so the original stays untouched.  :meth:`add_node` is
     refused — a new node changes the plan.
+
+    Every query reads the per-source memo: a float64 vector with numpy,
+    a dict of finite distances without (see the module docstring).  The
+    ``shard_source_cache_{hits,misses,evictions}`` counters tally it once
+    per query call.
     """
 
-    #: FIFO bound on memoized full distance maps (mirrors the per-source
+    #: FIFO bound on memoized per-source answers (mirrors the per-source
     #: memo discipline of the monolithic index).
     MAX_CACHED_SOURCES = PrunedLandmarkLabeling.MAX_CACHED_SOURCES
 
@@ -112,6 +137,7 @@ class ShardedPLLOracle:
             plan = plan_shards(graph, shards)
         self._init_topology(graph, plan)
         self._shards = [self._build_shard(i) for i in range(plan.num_shards)]
+        self._init_columns()
         self._build_boundary_summary()
         self._init_instruments()
         self._publish_label_bytes(range(plan.num_shards))
@@ -131,6 +157,32 @@ class ShardedPLLOracle:
             for shard in plan.shards
         ]
         self._bindex = {node: i for i, node in enumerate(plan.boundary)}
+        #: The query kernel, fixed at construction exactly as the PLL
+        #: picks its own: one float64 vector per source over the graph's
+        #: node order with numpy, a ``{node: distance}`` dict without.
+        self._use_numpy = numpy_available()
+        if self._use_numpy:
+            self._col = {node: i for i, node in enumerate(graph.nodes())}
+            self._boundary_cols = self._cols_of(plan.boundary)
+
+    def _init_columns(self) -> None:
+        """Per shard, the global column of each landmark rank (numpy only).
+
+        A map stays valid for its shard PLL's lifetime: ``insert_edge``
+        never changes ranks and this oracle refuses ``add_node``.
+        """
+        if self._use_numpy:
+            self._shard_cols = [self._cols_of(pll._order) for pll in self._shards]
+
+    def _cols_of(self, nodes: Iterable[Node]):
+        """Global columns of ``nodes`` as a read-only ``intp`` array."""
+        col = self._col
+        try:
+            cols = _np.array([col[node] for node in nodes], dtype=_np.intp)
+        except KeyError as exc:
+            raise GraphError(f"node {exc.args[0]!r} not in index") from None
+        cols.flags.writeable = False
+        return cols
 
     def _build_shard(self, i: int) -> PrunedLandmarkLabeling:
         """A fresh PLL over shard ``i``'s induced subgraph."""
@@ -139,12 +191,17 @@ class ShardedPLLOracle:
         return pll
 
     def _init_instruments(self) -> None:
-        self._source_cache: dict[Node, dict[Node, float]] = {}
+        #: Per-source memo: read-only float64 vectors (numpy) or
+        #: ``{node: distance}`` dicts of the finite entries (stdlib).
+        self._source_cache: dict = {}
         #: Shards this copy replaced since it was cloned (copy-on-write).
         self._owned: set[int] = set()
         registry = obs.global_registry()
         self._local_counter = registry.counter("shard_queries_local")
         self._cross_counter = registry.counter("shard_queries_cross")
+        self._hits_counter = registry.counter("shard_source_cache_hits")
+        self._misses_counter = registry.counter("shard_source_cache_misses")
+        self._evictions_counter = registry.counter("shard_source_cache_evictions")
 
     def _publish_label_bytes(self, shards: Iterable[int]) -> None:
         registry = obs.global_registry()
@@ -222,6 +279,10 @@ class ShardedPLLOracle:
                         heapq.heappush(heap, (cand, t))
             self._B.append(dist)
             self._pred.append(pred)
+        if self._use_numpy:
+            B = _np.array(self._B, dtype=_np.float64).reshape(nb, nb)
+            B.flags.writeable = False
+            self._B_array = B
 
     # ------------------------------------------------------------------
     # queries
@@ -230,11 +291,84 @@ class ShardedPLLOracle:
         if node not in self._node_set:
             raise GraphError(f"node {node!r} not in index")
 
+    def _memo(self, sources: Iterable[Node]) -> list:
+        """Each source's memoized full answer: a vector or a dict.
+
+        Fills the FIFO memo for cold sources and lands one hit / miss /
+        eviction tally per call (not per source) in the
+        ``shard_source_cache_*`` counters.
+        """
+        cache = self._source_cache
+        full = self._vector if self._use_numpy else self._full_map
+        out = []
+        misses = evictions = 0
+        for source in sources:
+            entry = cache.get(source)
+            if entry is None:
+                self._require_node(source)
+                entry = full(source)
+                misses += 1
+                evictions += evict_for_insert(cache, self.MAX_CACHED_SOURCES)
+                cache[source] = entry
+            out.append(entry)
+        if len(out) > misses:
+            self._hits_counter.inc(len(out) - misses)
+        if misses:
+            self._misses_counter.inc(misses)
+        if evictions:
+            self._evictions_counter.inc(evictions)
+        return out
+
+    def _vector(self, source: Node):
+        """``source``'s global distance vector (read-only float64).
+
+        The same three phases as :meth:`_full_map`, on arrays over the
+        graph's node order; each candidate is the same single IEEE add
+        and ``min`` is exact, so every entry is bit-identical to the
+        dict path's (``inf`` where that one has no entry).
+        """
+        out = _np.full(len(self._col), _INF)
+        # Local phase: scatter each home shard's vector into its columns.
+        for s in self.plan.shards_of(source):
+            cols = self._shard_cols[s]
+            out[cols] = _np.minimum(
+                out[cols], self._shards[s].distance_vector(source)
+            )
+        local_hits = int(_np.count_nonzero(out < _INF))
+        cross_hits = 0
+        if len(self._boundary_cols):
+            # Boundary potential: g[j] = min_i local(source, b_i) + B[i][j].
+            d0 = out[self._boundary_cols]
+            g = (d0[:, None] + self._B_array).min(axis=0)
+            # Cross phase: relax every shard through its boundary members.
+            improved = _np.zeros(len(out), dtype=bool)
+            for s, members in enumerate(self._shard_boundary):
+                if not members:
+                    continue
+                cols = self._shard_cols[s]
+                current = out[cols]
+                hit = _np.zeros(len(cols), dtype=bool)
+                for b2 in members:
+                    base = g[self._bindex[b2]]
+                    if base == _INF:
+                        continue
+                    cand = base + self._shards[s].distance_vector(b2)
+                    hit |= cand < current
+                    _np.minimum(current, cand, out=current)
+                out[cols] = current
+                improved[cols[hit]] = True
+            cross_hits = int(_np.count_nonzero(improved))
+        self._local_counter.inc(local_hits)
+        self._cross_counter.inc(cross_hits)
+        out.flags.writeable = False
+        return out
+
     def _full_map(self, source: Node) -> dict[Node, float]:
-        """Memoized global distance map (finite entries) for ``source``."""
-        cached = self._source_cache.get(source)
-        if cached is not None:
-            return cached
+        """``source``'s global distance dict (finite entries only).
+
+        The stdlib kernel, and the reference the vector path is tested
+        against.
+        """
         out: dict[Node, float] = {}
         # Local phase: shard-resident answers (upper bounds; exact when
         # the shortest path never leaves the shard).
@@ -277,8 +411,6 @@ class ShardedPLLOracle:
             cross_hits = len(cross_nodes)
         self._local_counter.inc(local_hits)
         self._cross_counter.inc(cross_hits)
-        evict_for_insert(self._source_cache, self.MAX_CACHED_SOURCES)
-        self._source_cache[source] = out
         return out
 
     def distance(self, u: Node, v: Node) -> float:
@@ -287,14 +419,24 @@ class ShardedPLLOracle:
         if u == v:
             return 0.0
         self._require_node(v)
-        return self._full_map(u).get(v, _INF)
+        (full,) = self._memo((u,))
+        if self._use_numpy:
+            return full.item(self._col[v])
+        return full.get(v, _INF)
 
     def distances_from(
         self, source: Node, targets: Iterable[Node]
     ) -> dict[Node, float]:
-        """Batched ``{target: distance}`` from one source (memoized)."""
-        self._require_node(source)
-        full = self._full_map(source)
+        """Batched ``{target: distance}`` from one source (memoized).
+
+        With numpy one gather from the source's vector plus
+        ``.tolist()``, so the values are plain Python floats.
+        """
+        (full,) = self._memo((source,))
+        if self._use_numpy:
+            target_list = list(targets)
+            gathered = full[self._cols_of(target_list)].tolist()
+            return dict(zip(target_list, gathered))
         out: dict[Node, float] = {}
         for target in targets:
             if target == source:
@@ -314,8 +456,20 @@ class ShardedPLLOracle:
         return all_pairs_distances(self, sources, targets)
 
     def distance_matrix(self, sources: Iterable[Node], targets: Iterable[Node]):
-        """``distances_from`` rows stacked into a float64 ndarray."""
-        return distance_matrix_from_rows(self, sources, targets)
+        """``(len(sources), len(targets))`` float64 distance matrix.
+
+        With numpy, row ``i`` is one gather from ``sources[i]``'s memoized
+        vector; without, :meth:`distances_from` rows are stacked.  Row
+        for row it is bit-identical to :meth:`distances_from`.
+        """
+        if not self._use_numpy:
+            return distance_matrix_from_rows(self, sources, targets)
+        cols = self._cols_of(targets)
+        vectors = self._memo(sources)
+        out = _np.empty((len(vectors), len(cols)))
+        for i, vector in enumerate(vectors):
+            out[i] = vector[cols]
+        return out
 
     # ------------------------------------------------------------------
     # path reconstruction
@@ -418,7 +572,7 @@ class ShardedPLLOracle:
         objects.  The original is never mutated, so a solve still
         holding it keeps its answers.  No PLL is built.
         """
-        if graph.num_nodes != len(self._node_set):
+        if set(graph.nodes()) != self._node_set:
             raise GraphError("a sharded clone must keep the plan's node set")
         index = type(self).__new__(type(self))
         index._graph = graph
@@ -427,7 +581,13 @@ class ShardedPLLOracle:
         index._shard_nodes = self._shard_nodes
         index._shard_boundary = self._shard_boundary
         index._bindex = self._bindex
+        index._use_numpy = self._use_numpy
         index._shards = list(self._shards)
+        if self._use_numpy:
+            index._col = self._col
+            index._boundary_cols = self._boundary_cols
+            index._shard_cols = list(self._shard_cols)
+            index._B_array = self._B_array
         index._summary_adj = self._summary_adj
         index._B = self._B
         index._pred = self._pred
@@ -478,6 +638,8 @@ class ShardedPLLOracle:
         shards = sorted(set(shards))
         for s in shards:
             self._shards[s] = self._build_shard(s)
+            if self._use_numpy:
+                self._shard_cols[s] = self._cols_of(self._shards[s]._order)
             self._owned.add(s)
         self._after_update(shards, "shard_updates_rebuilt")
 
@@ -586,6 +748,7 @@ class ShardedPLLOracle:
             )
             pll._obs_shard = i
             self._shards.append(pll)
+        self._init_columns()
         nb = len(plan.boundary)
         adj: list[dict[int, tuple[float, int]]] = [{} for _ in range(nb)]
         try:

@@ -1,6 +1,8 @@
 """Unit tests for the Graph storage substrate."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.graph import Graph, GraphError
 
@@ -123,3 +125,53 @@ def test_from_edges_mixed_arity():
     g = Graph.from_edges([("a", "b"), ("b", "c", 0.5)])
     assert g.weight("a", "b") == 1.0
     assert g.weight("b", "c") == 0.5
+
+
+def reference_subgraph(g: Graph, nodes) -> Graph:
+    """The edge-by-edge ``Graph.subgraph`` the one-pass build replaced."""
+    keep = set(nodes)
+    missing = [n for n in keep if n not in g._adj]
+    if missing:
+        raise GraphError(f"nodes not in graph: {missing!r}")
+    ordered = [n for n in g._adj if n in keep]
+    sub = Graph()
+    for node in ordered:
+        sub.add_node(node, **g._node_data[node])
+    for node in ordered:
+        for neighbor, w in g._adj[node].items():
+            if neighbor in keep and not sub.has_edge(node, neighbor):
+                sub.add_edge(node, neighbor, weight=w)
+    return sub
+
+
+@st.composite
+def graphs_and_subsets(draw):
+    n = draw(st.integers(min_value=0, max_value=14))
+    g = Graph()
+    for node in draw(st.permutations(range(n))):
+        if draw(st.booleans()):
+            g.add_node(node, tag=draw(st.integers(0, 3)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=40) if pairs else st.just([])):
+        if draw(st.booleans()):
+            u, v = v, u
+        g.add_edge(u, v, weight=draw(st.integers(0, 8)) / 4)
+    nodes = list(g.nodes())
+    subset = draw(st.lists(st.sampled_from(nodes), unique=True) if nodes else st.just([]))
+    return g, subset
+
+
+@given(graphs_and_subsets())
+def test_subgraph_matches_the_edge_by_edge_build(case):
+    g, subset = case
+    for got, want in (
+        (g.subgraph(subset), reference_subgraph(g, subset)),
+        (g.copy(), reference_subgraph(g, g.nodes())),
+    ):
+        assert list(got._adj) == list(want._adj)
+        for node in want._adj:
+            assert list(got._adj[node].items()) == list(want._adj[node].items())
+        assert list(got._node_data.items()) == list(want._node_data.items())
+        for node in want._node_data:
+            assert got._node_data[node] is not g._node_data[node]
+        assert got.num_edges == want.num_edges

@@ -9,16 +9,36 @@ associativity cannot blur the comparison.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.graph import Graph, GraphError
 from repro.graph.distance import DijkstraOracle
 from repro.graph.partition import plan_shards
 from repro.graph.pll import PrunedLandmarkLabeling, pll_build_count
+from repro.graph.pll_kernel import numpy_available
 from repro.graph.sharded_oracle import ShardedPLLOracle
+from repro.obs import render_prometheus
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="the vector memo needs numpy"
+)
+
+
+@contextlib.contextmanager
+def numpy_hidden():
+    """What an install without numpy builds: dict memo, stdlib shards."""
+    with mock.patch(
+        "repro.graph.sharded_oracle.numpy_available", return_value=False
+    ), mock.patch("repro.graph.pll.numpy_available", return_value=False):
+        yield
 
 
 def dyadic_random_graph(
@@ -275,3 +295,169 @@ def test_from_state_rejects_mismatched_shapes():
     bad = dict(boundary, boundary=["a", "ghost-extra"])
     with pytest.raises(GraphError):
         ShardedPLLOracle.from_state(g, sharded.plan, shard_labels, bad)
+
+
+def test_clone_refuses_a_different_node_set():
+    g = two_block_graph()
+    sharded = ShardedPLLOracle(g, shards=2)
+    renamed = Graph.from_edges(
+        [("z" if u == "a0" else u, "z" if v == "a0" else v, w) for u, v, w in g.edges()]
+    )
+    assert renamed.num_nodes == g.num_nodes
+    with pytest.raises(GraphError):
+        sharded.clone(renamed)
+
+
+# ----------------------------------------------------------------------
+# the per-source memo: metrics, and the vector path against the dict path
+# ----------------------------------------------------------------------
+def _counter_values(*names: str) -> list[float]:
+    registry = obs.global_registry()
+    return [registry.counter(name).value for name in names]
+
+
+MEMO_COUNTERS = tuple(
+    f"shard_source_cache_{what}" for what in ("hits", "misses", "evictions")
+)
+
+
+@pytest.mark.parametrize("hide_numpy", [False, True], ids=["vector", "dict"])
+def test_source_memo_counts_hits_misses_and_evictions(monkeypatch, hide_numpy):
+    if not hide_numpy and not numpy_available():
+        pytest.skip("the vector memo needs numpy")
+    monkeypatch.setattr(ShardedPLLOracle, "MAX_CACHED_SOURCES", 2)
+    g = two_block_graph()
+    with numpy_hidden() if hide_numpy else contextlib.nullcontext():
+        sharded = ShardedPLLOracle(g, shards=2)
+    nodes = list(g.nodes())
+    before = _counter_values(*MEMO_COUNTERS)
+    sharded.distance("a0", "b0")  # miss a0
+    sharded.distances_from("a0", nodes)  # hit a0
+    sharded.distance("a1", "a1")  # answered without the memo
+    if not hide_numpy:
+        sharded.distance_matrix(["a0", "a1", "m"], nodes)  # hit; 2 misses, evict a0
+    else:  # an install without numpy has no distance_matrix
+        for source in ("a0", "a1", "m"):
+            sharded.distances_from(source, nodes)
+    after = _counter_values(*MEMO_COUNTERS)
+    assert [a - b for a, b in zip(after, before)] == [2, 3, 1]
+    text = render_prometheus(obs.global_registry().snapshot())
+    for name in MEMO_COUNTERS:
+        assert f"# TYPE repro_{name} counter" in text
+
+
+def federated_graph(rng: random.Random, blocks: int) -> Graph:
+    """Dyadic random blocks, each hung off a node of an earlier block
+    (a cut vertex), plus a two-node island."""
+    g = Graph()
+    members: list[list[str]] = []
+    for b in range(blocks):
+        size = rng.randint(3, 6)
+        names = [f"b{b}n{i}" for i in range(size)]
+        if members:
+            names[0] = rng.choice(rng.choice(members))
+        for i in range(1, size):
+            j = rng.randrange(i)
+            g.add_edge(names[i], names[j], weight=rng.randint(1, 64) / 64.0)
+        for i in range(size):
+            for j in range(i + 2, size):
+                if rng.random() < 0.3:
+                    g.add_edge(names[i], names[j], weight=rng.randint(1, 64) / 64.0)
+        members.append(names)
+    g.add_edge("isl0", "isl1", weight=0.5)
+    return g
+
+
+def random_burst(rng: random.Random, oracle: ShardedPLLOracle, g: Graph) -> list:
+    """In-shard insertions / halvings; weight increases and removals
+    to rebuild (a removal can reorder a shard's landmarks)."""
+    plan = oracle.plan
+    g = g.copy()
+    ops = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.7:
+            shard = rng.choice(plan.shards)
+            if len(shard) < 2:
+                continue
+            u, v = rng.sample(list(shard), 2)
+            w = g.weight(u, v) / 2 if g.has_edge(u, v) else rng.randint(1, 64) / 64.0
+            ops.append(("insert", u, v, w))
+        elif rng.random() < 0.5:
+            u, v, w = rng.choice(list(g.edges()))
+            ops.append(("increase", u, v, w * 2))
+        else:
+            u, v, _ = rng.choice(list(g.edges()))
+            ops.append(("remove", u, v, None))
+            g.remove_edge(u, v)
+            continue
+        g.add_edge(u, v, weight=ops[-1][3])
+    return ops
+
+
+def apply_burst(oracle: ShardedPLLOracle, g: Graph, ops: list) -> ShardedPLLOracle:
+    """``ops`` applied on a clone of ``oracle`` over a copy of ``g``."""
+    g = g.copy()
+    updated = oracle.clone(g)
+    for op, u, v, w in ops:
+        if op == "insert":
+            updated.insert_edge(u, v, w)
+        else:
+            if op == "remove":
+                g.remove_edge(u, v)
+            else:
+                g.add_edge(u, v, weight=w)
+            of_v = updated.plan.shards_of(v)
+            updated.rebuild_shards(s for s in updated.plan.shards_of(u) if s in of_v)
+    return updated
+
+
+def assert_same_answers(vec: ShardedPLLOracle, ref: ShardedPLLOracle, nodes) -> None:
+    """Both oracles answer every query alike, counters included."""
+    queries = ("shard_queries_local", "shard_queries_cross")
+    sources = nodes[::2]
+    before = _counter_values(*queries)
+    got = vec.distance_matrix(sources, nodes)
+    mid = _counter_values(*queries)
+    want = ref.distance_matrix(sources, nodes)
+    after = _counter_values(*queries)
+    assert got.tobytes() == want.tobytes()
+    assert [m - b for m, b in zip(mid, before)] == [a - m for a, m in zip(after, mid)]
+    for source in nodes:
+        got_row = vec.distances_from(source, nodes)
+        assert got_row == ref.distances_from(source, nodes)
+        assert all(type(d) is float for d in got_row.values())
+        for target in nodes[::3]:
+            assert vec.distance(source, target) == ref.distance(source, target)
+
+
+@needs_numpy
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    blocks=st.integers(2, 6),
+    k=st.sampled_from([2, 4]),
+    bursts=st.integers(1, 3),
+)
+def test_vector_memo_matches_the_dict_memo(seed, blocks, k, bursts):
+    rng = random.Random(seed)
+    g = federated_graph(rng, blocks)
+    nodes = list(g.nodes())
+    vec = ShardedPLLOracle(g, shards=k)
+    with numpy_hidden():
+        ref = ShardedPLLOracle(g, vec.plan)
+    assert vec._use_numpy and not ref._use_numpy
+    assert_same_answers(vec, ref, nodes)
+    for _ in range(bursts):
+        ops = random_burst(rng, vec, g)
+        vec = apply_burst(vec, g, ops)
+        with numpy_hidden():
+            ref = apply_burst(ref, g, ops)
+        g = vec._graph
+        assert_same_answers(vec, ref, nodes)
+    assert_exact(vec, g)
+    labels, doc = vec.export_state()
+    restored = ShardedPLLOracle.from_state(g, vec.plan, labels, doc)
+    with numpy_hidden():
+        restored_ref = ShardedPLLOracle.from_state(g, vec.plan, labels, doc)
+    assert_same_answers(restored, restored_ref, nodes)
+    live = vec.distance_matrix(nodes, nodes)
+    assert restored.distance_matrix(nodes, nodes).tobytes() == live.tobytes()
