@@ -16,15 +16,14 @@ The cache key is what the index actually depends on:
   ``network.add_collaboration(...)`` between two solves can never serve
   pre-mutation distances.
 
-When the network mutates, a stale entry is *upgraded in place* instead
-of rebuilt whenever the delta allows it: node additions and
-distance-decreasing edge changes stream into oracles that advertise
-``supports_incremental`` (resumed pruned Dijkstras for the 2-hop cover,
-tree invalidation for the Dijkstra oracle), skill-only edits reuse the
-index untouched, and everything else — removals, weight increases,
-authority changes under an authority-folded graph — falls back to a
-fresh build.  A sharded index on an unchanged shard plan narrows that
-fallback to the shards the delta touched.
+When the network mutates, a stale entry is *upgraded* instead of
+rebuilt whenever the delta allows it: node additions and
+distance-decreasing edge changes replay onto a clone of the oracle with
+its ``apply``, skill-only edits reuse the index untouched, and
+everything else — removals, weight increases, authority changes under
+an authority-folded graph — falls back to a fresh build, or to what the
+oracle's ``partial_rebuild`` narrows it to (a sharded index on an unchanged
+shard plan rebuilds only the shards the delta touched).
 :meth:`TeamFormationEngine.apply_updates` runs the same reconciliation
 eagerly and reports what happened per cached index.
 
@@ -82,7 +81,7 @@ from ..core.transform import transformed_edge_weight
 from ..expertise.network import ExpertNetwork, NetworkMutation
 from ..expertise.serialize import expert_from_dict, mutation_from_dict
 from ..graph.adjacency import Graph, GraphError
-from ..graph.distance import DijkstraOracle, DistanceOracle, build_oracle
+from ..graph.distance import DistanceOracle, build_oracle
 from ..graph.partition import ShardPlan, plan_shards
 from ..graph.pll import PrunedLandmarkLabeling
 from ..graph.sharded_oracle import ShardedPLLOracle
@@ -589,127 +588,52 @@ class TeamFormationEngine:
         """Bring a claimed stale entry for ``base`` up to the current version.
 
         Asks the network for the mutation delta since the stale entry's
-        version and replays it onto a **clone** of the derived graph and
-        oracle when every change is incrementally applicable.  The clone
-        is what makes lazy reconciliation safe under concurrency: the
-        stale oracle object may still be mid-query in another thread's
-        solve (it was current when that solve started), so it is never
-        mutated — the replay lands on a private copy that becomes the
-        new cache entry.  Returns ``None`` when the caller must rebuild
-        (journal truncated, unsupported mutation, or a non-incremental
-        oracle).
-
-        A sharded oracle goes the same way when the delta is
-        absorbable; otherwise, as long as the plan is unchanged, its
-        clone rebuilds only the shards the delta touched (see
-        :meth:`_touched_shards`).  Stale keys carry the plan hash, so a
-        claimed sharded entry always shares the current plan.
+        version.  When the oracle can absorb it, the delta is replayed
+        with one ``apply`` onto a **clone** over a copy of the entry's
+        graph.  Otherwise the oracle's ``partial_rebuild`` may rebuild just
+        what the delta touched, on a clone over the graph derived at
+        the current version (stale keys carry the plan hash, so a
+        sharded entry always shares the current plan).  The stale oracle
+        may still be mid-query in another thread's solve, so it is never
+        mutated.  Returns ``None`` when the caller must rebuild.
         """
         (graph, oracle), stale_version = stale
         delta = self.network.mutations_since(stale_version)
         if delta is None:
             return None
-        steps = self._plan_incremental(delta, base, oracle)
-        rebuild: list[int] | None = None
-        if steps is None:
-            if not isinstance(oracle, ShardedPLLOracle):
-                return None
-            rebuild = self._touched_shards(delta, base, oracle.plan)
-            if rebuild is None:
-                return None
-            steps = []
+        steps, touched = self._plan_replay(delta, base)
+        rebuild = oracle.partial_rebuild(touched) if steps is None else None
+        if steps is None and rebuild is None:
+            return None
         obs.global_registry().counter("engine_journal_replays").inc()
-        with obs.span("engine.journal_replay", steps=len(steps)) as span:
-            if rebuild is None:
-                graph, oracle = self._clone_entry(graph, oracle, base)
-            else:
+        with obs.span("engine.journal_replay", steps=len(steps or ())):
+            if rebuild is not None:
                 graph = self._derive_graph(base, self.network)
-                oracle = oracle.clone(graph)
-                oracle.rebuild_shards(rebuild)
-            if isinstance(oracle, PrunedLandmarkLabeling):
-                oracle.apply(steps)  # one label-store publication
-            else:
-                for step in steps:
-                    if step[0] == "node":
-                        oracle.add_node(step[1])
-                    else:
-                        _, u, v, weight = step
-                        oracle.insert_edge(u, v, weight)
-            if isinstance(oracle, ShardedPLLOracle):
-                span.set_attribute("shards", len(oracle.replaced_shards))
+                return graph, rebuild(graph)
+            # For ``raw`` the entry's graph is the live network graph,
+            # which already carries the delta; the copy captures it.
+            graph = graph.copy()
+            oracle = oracle.clone(graph)
+            oracle.apply(steps)
         return graph, oracle
 
-    def _touched_shards(
-        self, delta: tuple[NetworkMutation, ...], base: tuple, plan: ShardPlan
-    ) -> list[int] | None:
-        """The shards whose subgraph ``delta`` changes on ``base``'s graph.
+    def _plan_replay(
+        self, delta: tuple[NetworkMutation, ...], base: tuple
+    ) -> tuple[list[tuple] | None, list[tuple] | None]:
+        """Map a network delta onto ``(steps, touched)`` for ``base``.
 
-        An edge change lies in every shard holding both endpoints; an
-        authority edit under the fold reweights the edges around that
-        expert, all of which lie in shards holding it; skill edits touch
-        nothing.  ``None`` when a node was added or removed (the plan
-        changed with the node set, so only a full rebuild is exact).
+        ``steps`` are the oracle ``apply`` steps: new nodes, new edges
+        and derived weight decreases, with skill edits (and authority
+        edits off the fold) dropped.  They are ``None`` when a removal,
+        a derived weight increase or an authority edit under the fold
+        may grow a distance.  ``touched`` is what the oracle's
+        ``partial_rebuild`` may narrow a rebuild to: ``(u, v)`` per changed
+        edge and ``(expert,)`` per authority edit under the fold, or
+        ``None`` when a node was added or removed.
         """
         fold = base[1] == "fold"
-        touched: set[int] = set()
-        for mutation in delta:
-            op = mutation.op
-            if op == "update_skills":
-                continue
-            if op == "update_h_index":
-                if fold:
-                    touched.update(plan.shards_of(mutation.expert_id))
-                continue
-            if op not in ("add_collaboration", "remove_collaboration"):
-                return None
-            shared = set(plan.shards_of(mutation.u))
-            shared.intersection_update(plan.shards_of(mutation.v))
-            if not shared:
-                return None
-            touched |= shared
-        return sorted(touched)
-
-    def _clone_entry(
-        self, graph: Graph, oracle: DistanceOracle, base: tuple
-    ) -> tuple[Graph, DistanceOracle]:
-        """An independent copy of a cache entry, safe to replay onto.
-
-        The PLL clone (:meth:`PrunedLandmarkLabeling.clone`) is a pure
-        memory copy — no pruned Dijkstras, so ``pll_build_count`` stays
-        put and the incremental path keeps its large advantage over a
-        rebuild.  For the ``raw`` flavor the entry's graph is (a copy
-        of) the live network graph, which the network has already
-        mutated in place; copying it here simply captures that current
-        state before the label replay tightens the index to match.
-        """
-        cloned_graph = graph.copy()
-        if isinstance(oracle, (PrunedLandmarkLabeling, ShardedPLLOracle)):
-            return cloned_graph, oracle.clone(cloned_graph)
-        if isinstance(oracle, DijkstraOracle):
-            return cloned_graph, DijkstraOracle(cloned_graph)
-        # Unknown oracle type advertising supports_incremental: fall back
-        # to sharing (pre-concurrency behavior) rather than guessing.
-        return graph, oracle
-
-    def _plan_incremental(
-        self,
-        delta: tuple[NetworkMutation, ...],
-        base: tuple,
-        oracle: DistanceOracle,
-    ) -> list[tuple] | None:
-        """Map a network delta onto oracle update steps, or ``None``.
-
-        A delta is incrementally applicable when the oracle supports it
-        and every mutation either leaves the derived graph untouched
-        (skill edits everywhere; authority edits off the fold) or only
-        *decreases* derived distances (new nodes, new edges, derived
-        weight decreases).  Removals, derived weight increases and
-        authority changes under a fold require a rebuild.
-        """
-        if not getattr(oracle, "supports_incremental", False):
-            return None
-        flavor = base[1]
-        steps: list[tuple] = []
+        steps: list[tuple] | None = []
+        touched: list[tuple] | None = []
         # Reweighting chains are coalesced to one step per edge: only
         # the chain's *final* weight matters, compared against the
         # edge's weight at the cached version (the first record's
@@ -720,22 +644,28 @@ class TeamFormationEngine:
         edge_final: dict[frozenset, tuple[str, str, float]] = {}
         for mutation in delta:
             op = mutation.op
-            if op in ("remove_expert", "remove_collaboration"):
-                return None
-            if op == "update_skills":
-                continue  # no distance impact on any flavor
-            if op == "update_h_index":
-                if flavor == "fold":
-                    return None  # reweights every incident folded edge
+            if op == "update_skills" or (op == "update_h_index" and not fold):
+                continue  # no distance impact
+            if op in ("add_expert", "remove_expert"):
+                touched = None
+            elif touched is not None:
+                touched.append(
+                    (mutation.expert_id,)
+                    if op == "update_h_index"
+                    else (mutation.u, mutation.v)
+                )
+            if steps is None:
                 continue
             if op == "add_expert":
                 steps.append(("node", mutation.expert_id))
-                continue
-            # add_collaboration: insertion or reweighting
-            pair = frozenset((mutation.u, mutation.v))
-            if pair not in edge_origin:
-                edge_origin[pair] = mutation.old_weight
-            edge_final[pair] = (mutation.u, mutation.v, mutation.weight)
+            elif op == "add_collaboration":  # insertion or reweighting
+                pair = frozenset((mutation.u, mutation.v))
+                edge_origin.setdefault(pair, mutation.old_weight)
+                edge_final[pair] = (mutation.u, mutation.v, mutation.weight)
+            else:  # a removal, or a fold authority edit reweighting every edge
+                steps = None
+        if steps is None:
+            return None, touched
         # Node additions first: an edge step may reference a new expert.
         for pair, (u, v, weight) in edge_final.items():
             new_w = self._derived_weight(base, u, v, weight)
@@ -743,9 +673,9 @@ class TeamFormationEngine:
             if origin is not None and new_w > self._derived_weight(
                 base, u, v, origin
             ):
-                return None  # net weight increase: distances may grow
+                return None, touched  # net weight increase: distances may grow
             steps.append(("edge", u, v, new_w))
-        return steps
+        return steps, touched
 
     def _derived_weight(self, base: tuple, u: str, v: str, weight: float) -> float:
         """What edge ``{u, v}`` at raw ``weight`` weighs on ``base``'s graph."""

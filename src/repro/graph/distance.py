@@ -11,37 +11,38 @@ implementations are provided:
   cover; pays an indexing cost once, then answers each query from two
   sorted label rows of one flat store.
 
-Both satisfy :class:`DistanceOracle`, including its *batch* entry points
-``distances_from`` / ``distances_many`` / ``distance_matrix``.  The
-greedy sweep asks for one ``distance_matrix(holders, roots)`` per
-required skill: a float64 ndarray of every holder against every root.
-When numpy imports, the 2-hop cover memoizes each source's distance to
+These two and :class:`repro.graph.sharded_oracle.ShardedPLLOracle` (one
+2-hop cover per shard) satisfy :class:`DistanceOracle`, including its
+*batch* entry points ``distances_from`` / ``distances_many`` /
+``distance_matrix``.  The greedy sweep asks for one
+``distance_matrix(holders, roots)`` per required skill: a float64
+ndarray of every holder against every root.  When numpy imports, the
+2-hop cover and the sharded oracle memoize each source's distance to
 every node as a numpy vector, so a row is one fancy-index gather and the
 sweep scores a whole skill with array operations instead of Python
-loops.  Oracles without such a vector (Dijkstra, the sharded oracle)
-stack ``distances_from`` rows.  ``distance_matrix`` needs numpy;
-without it the PLL answers with its stdlib kernel and the sweep uses
-``distances_from``.  The ablation
+loops.  The Dijkstra oracle stacks ``distances_from`` rows.
+``distance_matrix`` needs numpy; without it the PLL answers with its
+stdlib kernel and the sweep uses ``distances_from``.  The ablation
 benchmark ``benchmarks/bench_ablation_oracle.py`` swaps one
 implementation for the other.
 
-Both oracles are also *dynamic* for distance-decreasing changes and
-advertise it with ``supports_incremental``: ``insert_edge`` /
-``add_node`` absorb a new edge, a weight decrease or a new node without
-rebuilding (the PLL index repairs its labels with resumed pruned
-Dijkstras; the Dijkstra oracle simply invalidates its cached trees).
-Distance-*increasing* changes (removals, weight increases) require a
-rebuild — the engine's version-keyed oracle cache decides per mutation
-from the network's journal.  That caller-side check matters: when the
-oracle was built over a *shared* graph object that has already been
-mutated, ``insert_edge`` cannot see the pre-mutation weight and its own
-increase guard is best-effort only.
+Every oracle owns its write path.  ``clone(graph)`` returns a copy over
+``graph`` whose writes never reach the original, which may still be
+serving a solve.  ``apply(steps)`` absorbs ``("node", node)`` and
+``("edge", u, v, weight)`` steps (new nodes, new edges, weight
+decreases) in place: the PLL repairs its labels with resumed pruned
+Dijkstras, the sharded oracle does so per shard, and the Dijkstra oracle
+drops its cached trees.  Any other change needs a rebuild, which
+``partial_rebuild(touched)`` may narrow (the sharded oracle rebuilds only the
+touched shards).  The caller decides which path a change takes: when
+the oracle's graph is *shared* and already mutated, ``apply`` cannot see
+the pre-mutation weight, so its own increase guard is best-effort only.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from typing import Protocol, runtime_checkable
 
 from .. import obs
@@ -65,14 +66,10 @@ __all__ = [
 class DistanceOracle(Protocol):
     """Anything that answers exact shortest-path distance and path queries.
 
-    ``supports_incremental`` advertises whether the implementation can
-    absorb *distance-decreasing* graph changes in place via
-    ``insert_edge`` / ``add_node`` (plus ``invalidate`` to drop
-    memoized query state).  Implementations that cannot should set it to
-    ``False``; callers then rebuild on every mutation.
+    The write side (``clone``, ``apply``, ``partial_rebuild``) lets a caller
+    bring a copy up to date with a changed graph without knowing which
+    oracle it holds; see the module docstring.
     """
-
-    supports_incremental: bool
 
     def distance(self, u: Node, v: Node) -> float:
         """Exact shortest-path distance, ``inf`` when disconnected."""
@@ -103,12 +100,25 @@ class DistanceOracle(Protocol):
         """One exact shortest path ``[u, ..., v]``."""
         ...
 
-    def insert_edge(self, u: Node, v: Node, weight: float) -> None:
-        """Absorb a new edge or weight decrease without rebuilding."""
+    def clone(self, graph: Graph) -> "DistanceOracle":
+        """A copy over ``graph`` whose writes never reach this oracle."""
         ...
 
-    def add_node(self, node: Node) -> None:
-        """Absorb a new (isolated) node without rebuilding."""
+    def apply(self, steps: Iterable[tuple]) -> None:
+        """Absorb ``("node", n)`` / ``("edge", u, v, w)`` steps in order."""
+        ...
+
+    def partial_rebuild(
+        self, touched: Iterable[tuple] | None
+    ) -> Callable[[Graph], DistanceOracle] | None:
+        """How to rebuild a copy after a change ``apply`` cannot absorb.
+
+        ``touched`` names what changed: ``(u, v)`` per changed edge and
+        ``(node,)`` per node whose incident edges were all reweighted;
+        ``None`` when the node set changed.  Returns a function from the
+        new graph to an updated copy that rebuilds only what the change
+        reaches, or ``None`` when only a full build is exact.
+        """
         ...
 
     def invalidate(self) -> None:
@@ -123,11 +133,10 @@ class DijkstraOracle:
     once more than that many distinct sources have been queried (a
     caller that queries from every node would otherwise retain ``O(n^2)``
     distances on large graphs).
-    """
 
-    #: Nothing is precomputed, so graph changes are absorbed by simply
-    #: invalidating the cached trees (see :meth:`insert_edge`).
-    supports_incremental = True
+    Nothing is precomputed, so :meth:`apply` absorbs any change by
+    writing it to the graph and dropping the cached trees.
+    """
 
     def __init__(self, graph: Graph, *, max_cached_sources: int = 1024) -> None:
         if max_cached_sources < 1:
@@ -183,23 +192,42 @@ class DijkstraOracle:
         return reconstruct_path(parent, v)
 
     # ------------------------------------------------------------------
-    # incremental maintenance
+    # write path
     # ------------------------------------------------------------------
+    def clone(self, graph: Graph) -> "DijkstraOracle":
+        """A fresh oracle over ``graph`` (no trees to share)."""
+        return DijkstraOracle(graph, max_cached_sources=self._max_cached)
+
+    def apply(self, steps: Iterable[tuple]) -> None:
+        """Write ``steps`` to the graph, then drop the cached trees."""
+        try:
+            for step in steps:
+                if step[0] == "node":
+                    self._graph.add_node(step[1])
+                    continue
+                _, u, v, weight = step
+                for node in (u, v):
+                    if not self._graph.has_node(node):
+                        raise GraphError(f"node {node!r} not in graph")
+                self._graph.add_edge(u, v, weight=weight)
+        finally:
+            self.invalidate()
+
+    def partial_rebuild(self, touched: Iterable[tuple] | None) -> None:
+        """``None``: a lazy oracle has nothing to rebuild in part."""
+        return None
+
     def invalidate(self) -> None:
         """Drop every cached shortest-path tree (they may be stale)."""
         self._cache.clear()
 
     def add_node(self, node: Node) -> None:
-        """Absorb a new isolated node (cached trees stay valid)."""
-        self._graph.add_node(node)
+        """Absorb a new isolated node."""
+        self.apply([("node", node)])
 
     def insert_edge(self, u: Node, v: Node, weight: float) -> None:
         """Absorb a new edge or reweighting by invalidating the trees."""
-        for node in (u, v):
-            if not self._graph.has_node(node):
-                raise GraphError(f"node {node!r} not in graph")
-        self._graph.add_edge(u, v, weight=weight)
-        self.invalidate()
+        self.apply([("edge", u, v, weight)])
 
 
 def build_oracle(

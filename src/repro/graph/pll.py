@@ -279,11 +279,6 @@ class PrunedLandmarkLabeling:
     #: :meth:`distances_from`).
     MAX_CACHED_SOURCES = 512
 
-    #: This oracle can absorb node additions and distance-decreasing
-    #: edge changes in place (see :meth:`insert_edge`); callers fall
-    #: back to a rebuild for everything else.
-    supports_incremental = True
-
     #: Shard index stamped on ``pll.query`` spans when this index serves
     #: one shard of a :class:`~repro.graph.sharded_oracle.ShardedPLLOracle`
     #: (a class attribute so clones and snapshot-restored indexes default
@@ -437,6 +432,10 @@ class PrunedLandmarkLabeling:
         finally:
             self._flat = edit.publish()
             self.invalidate()
+
+    def partial_rebuild(self, touched: Iterable[tuple] | None) -> None:
+        """``None``: a change :meth:`apply` cannot absorb needs a full build."""
+        return None
 
     def _add_node(self, edit: _LabelEdit, node: Node) -> None:
         if node in self._rank:
@@ -826,13 +825,13 @@ class PrunedLandmarkLabeling:
         is the graph the clone should own (defaults to a copy of this
         index's own); it may already carry nodes/edges the labels have
         not absorbed yet, exactly as the shared live graph did on the
-        pre-clone in-place path — the caller's replayed ``add_node`` /
-        ``insert_edge`` steps close that gap.  Unlike
-        :meth:`from_flat_labels` (which guards untrusted snapshot
-        bytes), cloning a live in-process index is a trusted path, so no
-        permutation check applies.  ``pll_build_count`` is not bumped.
-        The clone shares this index's immutable label store, so no
-        label entry is copied; its first write publishes its own store.
+        pre-clone in-place path — the caller's :meth:`apply` closes that
+        gap.  Unlike :meth:`from_flat_labels` (which guards untrusted
+        snapshot bytes), cloning a live in-process index is a trusted
+        path, so no permutation check applies.  ``pll_build_count`` is
+        not bumped.  The clone shares this index's immutable label store,
+        so no label entry is copied; its first write publishes its own
+        store.
         """
         index = type(self).__new__(type(self))
         index._graph = self._graph.copy() if graph is None else graph

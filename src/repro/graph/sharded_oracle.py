@@ -37,18 +37,18 @@ finite, let alone minimal.
 
 Mutations are absorbed per shard, on the same plan.  Every edge lies
 inside each shard that holds both of its endpoints, so an edge change
-only touches those shards.  :meth:`ShardedPLLOracle.insert_edge`
-replays an insertion or weight decrease into each of them with the
-monolithic index's resumed pruned Dijkstras;
-:meth:`ShardedPLLOracle.rebuild_shards` rebuilds just the named shards
+only touches those shards.  :meth:`ShardedPLLOracle.apply` replays
+insertions and weight decreases into each of them with the monolithic
+index's resumed pruned Dijkstras, one ``apply`` call per shard;
+:meth:`ShardedPLLOracle.partial_rebuild` rebuilds just the touched shards
 from a new graph (weight increases, removals, authority edits under a
-fold).  Either way the boundary summary is then recomputed.  Both run
-on a :meth:`ShardedPLLOracle.clone`, which shares every shard with the
-original and replaces a shard only on its first write, so the original
-— possibly still serving a solve — is never mutated.  A change that
-alters the plan itself (a new node, an edge that bypasses a cut vertex)
-is outside this scheme: the caller builds a fresh oracle over the new
-plan.
+fold).  Either way the boundary summary is then recomputed once.  Both
+run on a :meth:`ShardedPLLOracle.clone`, which shares every shard with
+the original and replaces a shard only on its first write, so the
+original — possibly still serving a solve — is never mutated.  A change
+that alters the plan itself (a new node, an edge that bypasses a cut
+vertex) is outside this scheme: the caller builds a fresh oracle over
+the new plan.
 
 Queries memoize each source's full answer in a bounded FIFO memo.
 With numpy the answer is one read-only float64 vector over the graph's
@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .. import obs
 from .adjacency import Graph, GraphError, Node
@@ -107,10 +107,10 @@ class ShardedPLLOracle:
     dyadic test networks; always equal as real numbers).
 
     Mutations that keep the plan are absorbed per shard (see the module
-    docstring): :meth:`insert_edge` for insertions and weight decreases,
-    :meth:`rebuild_shards` for everything else, both meant for a
-    :meth:`clone` so the original stays untouched.  :meth:`add_node` is
-    refused — a new node changes the plan.
+    docstring): :meth:`apply` for insertions and weight decreases,
+    :meth:`partial_rebuild` for everything else, both meant for a
+    :meth:`clone` so the original stays untouched.  A new node is
+    refused — it changes the plan.
 
     Every query reads the per-source memo: a float64 vector with numpy,
     a dict of finite distances without (see the module docstring).  The
@@ -121,8 +121,6 @@ class ShardedPLLOracle:
     #: FIFO bound on memoized per-source answers (mirrors the per-source
     #: memo discipline of the monolithic index).
     MAX_CACHED_SOURCES = PrunedLandmarkLabeling.MAX_CACHED_SOURCES
-
-    supports_incremental = True
 
     def __init__(
         self,
@@ -168,8 +166,8 @@ class ShardedPLLOracle:
     def _init_columns(self) -> None:
         """Per shard, the global column of each landmark rank (numpy only).
 
-        A map stays valid for its shard PLL's lifetime: ``insert_edge``
-        never changes ranks and this oracle refuses ``add_node``.
+        A map stays valid for its shard PLL's lifetime: ``apply`` never
+        changes ranks and this oracle refuses new nodes.
         """
         if self._use_numpy:
             self._shard_cols = [self._cols_of(pll._order) for pll in self._shards]
@@ -558,7 +556,7 @@ class ShardedPLLOracle:
         return path
 
     # ------------------------------------------------------------------
-    # mutation protocol (per shard, same plan)
+    # write path (per shard, same plan)
     # ------------------------------------------------------------------
     def clone(self, graph: Graph) -> "ShardedPLLOracle":
         """A copy-on-write copy of this oracle over ``graph``.
@@ -566,7 +564,7 @@ class ShardedPLLOracle:
         ``graph`` is the graph the copy should own: this oracle's graph
         with the pending delta applied or about to be, over the same
         node set and plan.  Every shard PLL, the topology and the
-        boundary summary are shared; :meth:`insert_edge` and
+        boundary summary are shared; :meth:`apply` and
         :meth:`rebuild_shards` replace a shard on the copy the first
         time they write to it, and recompute the summary into fresh
         objects.  The original is never mutated, so a solve still
@@ -602,28 +600,63 @@ class ShardedPLLOracle:
     def _shards_holding(self, u: Node, v: Node) -> list[int]:
         """Every shard that holds both ``u`` and ``v`` (so the edge ``{u, v}``)."""
         of_v = self.plan.shards_of(v)
-        shards = [s for s in self.plan.shards_of(u) if s in of_v]
-        if not shards:
-            raise GraphError(
-                f"edge ({u!r}, {v!r}) lies in no shard; the plan must change"
-            )
-        return shards
+        return [s for s in self.plan.shards_of(u) if s in of_v]
+
+    def apply(self, steps: Iterable[tuple]) -> None:
+        """Absorb ``("edge", u, v, weight)`` steps, one PLL ``apply`` per shard.
+
+        Each step (an insertion or a weight decrease) goes, in order, to
+        every shard holding both endpoints, copied first if still
+        shared; the boundary summary is then rebuilt and the memo
+        cleared once.  A ``("node", n)`` step or an edge that no shard
+        holds changes the plan: it raises :class:`GraphError` before
+        anything is written.
+        """
+        steps = list(steps)
+        per_shard: dict[int, list[tuple]] = {}
+        for step in steps:
+            shards = self._shards_holding(*step[1:3]) if step[0] == "edge" else ()
+            if not shards:
+                raise GraphError(f"{step!r} changes the shard plan; rebuild instead")
+            for s in shards:
+                per_shard.setdefault(s, []).append(step)
+        for s, shard_steps in per_shard.items():
+            self._writable(s).apply(shard_steps)
+        for _, u, v, weight in steps:
+            self._graph.add_edge(u, v, weight=weight)
+        updates = sum(map(len, per_shard.values()))  # one per (step, shard)
+        self._after_update(list(per_shard), "shard_updates_incremental", updates)
 
     def insert_edge(self, u: Node, v: Node, weight: float) -> None:
-        """Absorb a new edge ``{u, v}`` (or a weight decrease) per shard.
+        """Absorb a new edge ``{u, v}`` (or a weight decrease) per shard."""
+        self.apply([("edge", u, v, weight)])
 
-        Replays the edge with :meth:`PrunedLandmarkLabeling.insert_edge`
-        into every shard holding both endpoints (copying each shard
-        first if it is still shared), then recomputes the boundary
-        summary.  Raises :class:`GraphError` when no shard holds both
-        endpoints: such an edge changes the plan, so the oracle must be
-        rebuilt over the new one.
+    def add_node(self, node: Node) -> None:
+        """Refused: a new node changes the shard plan, so callers rebuild."""
+        self.apply([("node", node)])
+
+    def partial_rebuild(
+        self, touched: Iterable[tuple] | None
+    ) -> Callable[[Graph], ShardedPLLOracle] | None:
+        """A function that rebuilds, on a clone, the shards ``touched`` reaches.
+
+        An edge ``(u, v)`` reaches every shard holding both endpoints,
+        and a reweighted node ``(n,)`` every shard holding it.  ``None``
+        when the node set changed or an edge lies in no shard: the plan
+        changed, so only a new oracle is exact.
         """
-        shards = self._shards_holding(u, v)
-        for s in shards:
-            self._writable(s).insert_edge(u, v, weight)
-        self._graph.add_edge(u, v, weight=weight)
-        self._after_update(shards, "shard_updates_incremental")
+        if touched is None:
+            return None
+        held = [self._shards_holding(item[0], item[-1]) for item in touched]
+        if not all(held):
+            return None
+
+        def rebuild(graph: Graph) -> ShardedPLLOracle:
+            index = self.clone(graph)
+            index.rebuild_shards(set().union(*held))
+            return index
+
+        return rebuild
 
     def rebuild_shards(self, shards: Iterable[int]) -> None:
         """Rebuild the named shards from this oracle's graph.
@@ -641,7 +674,7 @@ class ShardedPLLOracle:
             if self._use_numpy:
                 self._shard_cols[s] = self._cols_of(self._shards[s]._order)
             self._owned.add(s)
-        self._after_update(shards, "shard_updates_rebuilt")
+        self._after_update(shards, "shard_updates_rebuilt", len(shards))
 
     def _writable(self, s: int) -> PrunedLandmarkLabeling:
         """Shard ``s``'s PLL, copied first if still shared with the original."""
@@ -652,20 +685,22 @@ class ShardedPLLOracle:
             self._owned.add(s)
         return self._shards[s]
 
-    def _after_update(self, shards: list[int], counter: str) -> None:
-        """Recompute what depends on the updated ``shards``."""
+    def _after_update(self, shards: list[int], counter: str, updates: int) -> None:
+        """Recompute what depends on the updated ``shards``.
+
+        Also stamps how many shards this copy has replaced, as
+        ``shards``, on the enclosing span (the engine's
+        ``engine.journal_replay``).
+        """
         if any(len(self._shard_boundary[s]) >= 2 for s in shards):
             # Only shards with two or more boundary nodes feed the summary.
             self._build_boundary_summary()
         self._source_cache.clear()
         self._publish_label_bytes(shards)
-        obs.global_registry().counter(counter).inc(len(shards))
-
-    def add_node(self, node: Node) -> None:
-        """Refused: a new node changes the shard plan, so callers rebuild."""
-        raise GraphError(
-            "a new node changes the shard plan; build a new sharded oracle"
-        )
+        obs.global_registry().counter(counter).inc(updates)
+        span = obs.current_span()
+        if span is not None:
+            span.set_attribute("shards", len(self._owned))
 
     def invalidate(self) -> None:
         """Drop memoized query state (labels stay valid)."""

@@ -116,7 +116,7 @@ def _hint_incremental(records: list[ReplicationRecord]) -> bool:
     """Whether the whole run is incrementally applicable to a 2-hop cover.
 
     Advisory only — the follower's engine re-checks per cached index
-    (:meth:`~repro.api.engine.TeamFormationEngine._plan_incremental`)
+    (:meth:`~repro.api.engine.TeamFormationEngine._plan_replay`)
     before touching anything, so a wrong hint costs a lazy
     reconciliation, never a wrong distance.  Conservative: an h-index
     update is incremental off the authority fold but not under it, so

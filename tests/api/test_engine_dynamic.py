@@ -259,3 +259,35 @@ def test_solve_many_straddling_a_mutation(network):
     assert sorted(first.team.members) == ["han", "liu", "ren"]
     assert second.team == third.team
     assert sorted(second.team.members) == ["golshan", "kotzias"]
+
+
+@pytest.mark.parametrize("oracle_kind", ["pll", "dijkstra"])
+def test_upgrade_never_mutates_the_previous_oracle(network, oracle_kind):
+    """A replay lands on a clone: the old oracle and its graph stay as they were."""
+    engine = TeamFormationEngine(network, oracle_kind=oracle_kind)
+    request = TeamRequest(
+        skills=("SN", "TM", "QC"),
+        solver="greedy",
+        objective="cc",
+        oracle_kind=oracle_kind,
+    )
+    engine.solve(request)
+    old_graph, old = engine._search_entry("cc", 0.0)
+    nodes = list(old_graph.nodes())
+    distances = {u: old.distances_from(u, nodes) for u in nodes}
+    edges = sorted(old_graph.edges())
+    registry = obs.global_registry()
+    replays = registry.counter("engine_journal_replays").value
+    with engine.mutate() as net:
+        net.add_expert(Expert("quine", skills={"QC"}, h_index=30))
+        net.add_collaboration("quine", "han", weight=0.1)  # new edge
+        net.add_collaboration("han", "bridge", weight=2.0)  # decrease from 5.0
+    assert engine.solve(request).found
+    new_graph, new = engine._search_entry("cc", 0.0)
+    assert registry.counter("engine_journal_replays").value - replays == 1
+    assert new is not old and new_graph is not old_graph
+    assert new.distance("quine", "han") < float("inf")
+    old.invalidate()  # drop memoized answers: recompute from what it holds
+    assert {u: old.distances_from(u, nodes) for u in nodes} == distances
+    assert sorted(old_graph.edges()) == edges
+    assert_not_stale(engine, request)

@@ -43,7 +43,8 @@ def test_unattached_network_mutates_silently():
 
 
 @pytest.mark.parametrize("op", sorted(MUTATIONS))
-def test_direct_mutation_on_attached_network_warns(op):
+def test_direct_mutation_on_attached_network_warns(op, monkeypatch):
+    monkeypatch.delenv("REPRO_STRICT", raising=False)
     network = build_figure1_network()
     TeamFormationEngine(network)
     with pytest.warns(UserWarning, match="bypasses the engine's write lock"):
@@ -98,7 +99,8 @@ def test_strict_mode_raises_and_leaves_state_consistent(monkeypatch):
     assert network.graph.weight("liu", "ren") == 9.0
 
 
-def test_guard_judges_the_calling_thread_not_global_lock_state():
+def test_guard_judges_the_calling_thread_not_global_lock_state(monkeypatch):
+    monkeypatch.delenv("REPRO_STRICT", raising=False)
     network = build_figure1_network()
     engine = TeamFormationEngine(network)
     seen: list[BaseException | None] = []
@@ -135,7 +137,8 @@ def test_guard_judges_the_calling_thread_not_global_lock_state():
     assert seen == [None]
 
 
-def test_warm_started_engine_attaches_the_guard(tmp_path):
+def test_warm_started_engine_attaches_the_guard(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_STRICT", raising=False)
     engine = TeamFormationEngine(build_figure1_network())
     engine.save_snapshot(tmp_path / "store")
     restored = TeamFormationEngine.from_snapshot(tmp_path / "store")

@@ -9,6 +9,10 @@ Select with ``HYPOTHESIS_PROFILE=ci python -m pytest``.  Tests that pin
 their own ``@settings(max_examples=...)`` keep their pinned budget; the
 profile governs everything else (notably the dynamic-PLL differential
 suite).
+
+Every test also runs with ``REPRO_STRICT=1`` (see
+:func:`strict_mutation_guard`), and ``pyproject.toml`` turns every
+``UserWarning`` into an error.
 """
 
 from __future__ import annotations
@@ -28,6 +32,15 @@ from repro.graph.pll_kernel import numpy_available
 settings.register_profile("ci", max_examples=200, deadline=None)
 settings.register_profile("dev", max_examples=25, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+@pytest.fixture(autouse=True)
+def strict_mutation_guard(monkeypatch):
+    """Every test runs strict: a direct write to an engine-attached
+    network raises instead of warning.  The tests that pin the warning
+    opt out with ``monkeypatch.delenv("REPRO_STRICT", raising=False)``.
+    """
+    monkeypatch.setenv("REPRO_STRICT", "1")
 
 
 @pytest.fixture(scope="session")

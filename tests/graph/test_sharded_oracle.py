@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.graph import Graph, GraphError
-from repro.graph.distance import DijkstraOracle
+from repro.graph.distance import DijkstraOracle, DistanceOracle
 from repro.graph.partition import plan_shards
 from repro.graph.pll import PrunedLandmarkLabeling, pll_build_count
 from repro.graph.pll_kernel import numpy_available
@@ -165,7 +165,6 @@ def assert_exact(oracle, g: Graph) -> None:
 def test_in_shard_insert_is_absorbed_exactly():
     g = two_block_graph()
     sharded = ShardedPLLOracle(g, shards=2)
-    assert sharded.supports_incremental is True
     assert sharded.plan.shards_of("a0") != sharded.plan.shards_of("b0")
     before = pll_build_count()
     updated = sharded.clone(g.copy())
@@ -461,3 +460,59 @@ def test_vector_memo_matches_the_dict_memo(seed, blocks, k, bursts):
     assert_same_answers(restored, restored_ref, nodes)
     live = vec.distance_matrix(nodes, nodes)
     assert restored.distance_matrix(nodes, nodes).tobytes() == live.tobytes()
+
+
+def all_distances(oracle: ShardedPLLOracle, nodes: list) -> object:
+    """Every pairwise distance: matrix bytes with numpy, dict rows without."""
+    if oracle._use_numpy:
+        return oracle.distance_matrix(nodes, nodes).tobytes()
+    return [oracle.distances_from(u, nodes) for u in nodes]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    blocks=st.integers(2, 6),
+    k=st.sampled_from([2, 4]),
+)
+def test_batched_apply_equals_stepwise_insert_edge(seed, blocks, k):
+    """One ``apply`` of a burst leaves exactly what one call per step does."""
+    rng = random.Random(seed)
+    g = federated_graph(rng, blocks)
+    nodes = list(g.nodes())
+    sharded = ShardedPLLOracle(g, shards=k)
+    original = all_distances(sharded, nodes)
+    target = g.copy()
+    steps = []
+    for _ in range(rng.randint(2, 6)):
+        shard = rng.choice([s for s in sharded.plan.shards if len(s) >= 2])
+        u, v = rng.sample(list(shard), 2)
+        if target.has_edge(u, v):
+            w = target.weight(u, v) / 2  # halving
+        else:
+            w = rng.randint(1, 64) / 64.0  # in-shard insertion
+        target.add_edge(u, v, weight=w)
+        steps.append(("edge", u, v, w))
+    counter = obs.global_registry().counter("shard_updates_incremental")
+    batched = sharded.clone(g.copy())
+    before = counter.value
+    batched.apply(steps)
+    batched_updates = counter.value - before
+    stepwise = sharded.clone(g.copy())
+    before = counter.value
+    for _, u, v, w in steps:
+        stepwise.insert_edge(u, v, w)
+    assert counter.value - before == batched_updates
+    assert batched.export_state() == stepwise.export_state()
+    assert batched.replaced_shards == stepwise.replaced_shards
+    assert all_distances(batched, nodes) == all_distances(stepwise, nodes)
+    assert_exact(batched, target)
+    assert all_distances(sharded, nodes) == original
+
+
+def test_sharded_oracle_satisfies_the_protocol():
+    g = two_block_graph()
+    oracle = ShardedPLLOracle(g, shards=2)
+    assert isinstance(oracle, DistanceOracle)
+    assert oracle.partial_rebuild(None) is None  # a new node changes the plan
+    with pytest.raises(GraphError):
+        oracle.clone(g.copy()).apply([("node", "z")])
