@@ -207,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
 
     mono_build = best_build_seconds(graph, args.trials)
     mono = PrunedLandmarkLabeling(graph)
-    mono_bytes = mono.total_label_entries * 16
+    mono_bytes = mono.label_bytes
     nodes = list(graph.nodes())
     print(
         f"  monolithic: build {mono_build * 1e3:8.2f}ms   "

@@ -1,8 +1,10 @@
 """Distance oracle abstraction used by the team-search algorithms.
 
 Algorithm 1 is oracle-agnostic: it only needs ``DIST(root, v)`` and, for
-materializing the final team, the corresponding path.  Two interchangeable
-implementations are provided:
+materializing the final team, the corresponding path.  Every oracle's
+``path`` is a graph Dijkstra over its own graph (the Dijkstra oracle
+reads it from its cached tree); the 2-hop covers store distances only.
+Two interchangeable implementations are provided:
 
 * :class:`DijkstraOracle` — no preprocessing; runs (and caches) one
   Dijkstra per distinct source.  Best for one-off queries and small

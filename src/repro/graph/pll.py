@@ -38,9 +38,10 @@ distances.  Weaker intra-batch pruning can only add (correct) extra
 entries, most of which the tail filter removes.  ``batch_size=1``
 reproduces the classic fully sequential algorithm exactly.
 
-Labels also store the *parent* of each labelled node on the shortest-path
-tree of the landmark's Dijkstra, which allows exact path reconstruction
-(:meth:`PrunedLandmarkLabeling.path`) by recursive hub expansion.
+A label entry is only ``(hub rank, distance)``: the paper's Algorithm 1
+needs ``DIST`` from the index, and the one path a solver needs (to
+materialize the winning team) comes from a graph Dijkstra, as
+:meth:`PrunedLandmarkLabeling.path` does too.
 
 Incremental maintenance
 -----------------------
@@ -66,9 +67,7 @@ Distance-*increasing* changes (edge removal, weight increase, node
 removal) can invalidate labels that certify now-broken paths; callers
 must rebuild instead (the engine's version-keyed oracle cache does this
 automatically).  Label entries left behind by an update are never
-removed, only tightened, so queries stay exact; parent pointers of
-superseded entries can however go stale, which :meth:`path` detects by
-re-weighing the reconstructed path and repairs with one graph Dijkstra.
+removed, only tightened, so queries stay exact.
 """
 
 from __future__ import annotations
@@ -85,7 +84,6 @@ from .dijkstra import shortest_path
 from .fifo import evict_for_insert
 from .pll_kernel import (
     DIST_TYPECODE,
-    PARENT_TYPECODE,
     RANK_TYPECODE,
     FlatLabelStore,
     numpy_available,
@@ -213,44 +211,44 @@ def _pruned_dijkstra(
     landmark: Node,
     ranks: dict[Node, list[int]],
     dists: dict[Node, list[float]],
-) -> list[tuple[Node, float, Node | None]]:
+) -> list[tuple[Node, float]]:
     """One pruned Dijkstra against a fixed label snapshot.
 
     Pure function of its arguments: returns the would-be label entries
-    ``(node, distance, parent)`` in settle order without mutating the
-    snapshot, so every search of a batch sees the same pre-batch labels.
+    ``(node, distance)`` in settle order without mutating the snapshot,
+    so every search of a batch sees the same pre-batch labels.
     """
     l_ranks = ranks[landmark]
     l_dists = dists[landmark]
     settled: set[Node] = set()
-    results: list[tuple[Node, float, Node | None]] = []
-    heap: list[tuple[float, int, Node, Node | None]] = [(0.0, 0, landmark, None)]
+    results: list[tuple[Node, float]] = []
+    heap: list[tuple[float, int, Node]] = [(0.0, 0, landmark)]
     counter = 1
     while heap:
-        d, _, u, via = heapq.heappop(heap)
+        d, _, u = heapq.heappop(heap)
         if u in settled:
             continue
         # Prune if the snapshot already certifies dist(l, u) <= d.
         if _merge_join_min(l_ranks, l_dists, ranks[u], dists[u]) <= d:
             continue
         settled.add(u)
-        results.append((u, d, via))
+        results.append((u, d))
         for v, w in adj[u].items():
             if v in settled:
                 continue
-            heapq.heappush(heap, (d + w, counter, v, u))
+            heapq.heappush(heap, (d + w, counter, v))
             counter += 1
     return results
 
 
 class PrunedLandmarkLabeling:
-    """A 2-hop cover distance (and path) oracle over a weighted graph.
+    """A 2-hop cover distance oracle over a weighted graph.
 
-    The index is built once in the constructor; queries never touch the
-    graph again except for path reconstruction, which follows stored
-    parent pointers.  The labels live in one immutable
-    :class:`FlatLabelStore`, which every query reads and every write
-    replaces with a new one (so clones can share a store).  Batched
+    The index is built once in the constructor; distance queries never
+    touch the graph again (:meth:`path` runs one graph Dijkstra).  The
+    labels live in one immutable :class:`FlatLabelStore`, which every
+    query reads and every write replaces with a new one (so clones can
+    share a store).  Batched
     queries run the vectorized numpy kernel when numpy is importable at
     build time and the stdlib dense-scatter kernel otherwise; both
     return bit-identical distances.
@@ -308,18 +306,18 @@ class PrunedLandmarkLabeling:
         self._use_numpy = numpy_available()
         self._source_cache: dict[Node, dict[Node, float] | _np.ndarray] = {}
         #: How many in-place updates this index has absorbed since its
-        #: build (diagnostics; also arms the path-reconstruction check).
+        #: build (diagnostics, persisted with the labels).
         self.incremental_updates = 0
         rows = self._build(batch_size)
-        self._flat = FlatLabelStore.from_rows(order, self._rank, *rows)
+        self._flat = FlatLabelStore.from_rows(order, *rows)
         global _build_count
         _build_count += 1
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _build(self, batch_size: int | None) -> tuple[dict, dict, dict]:
-        """The per-node label rows: ranks ascending, distances, parents.
+    def _build(self, batch_size: int | None) -> tuple[dict, dict]:
+        """The per-node label rows: ranks ascending, and distances.
 
         Searching the live rows is valid because a batch is merged only
         after all of its searches returned: until then the live rows
@@ -328,23 +326,21 @@ class PrunedLandmarkLabeling:
         nodes = list(self._graph.nodes())
         ranks: dict[Node, list[int]] = {u: [] for u in nodes}
         dists: dict[Node, list[float]] = {u: [] for u in nodes}
-        parents: dict[Node, list[Node | None]] = {u: [] for u in nodes}
         adj = self._graph.adjacency()
         for batch in _batch_schedule(len(self._order), batch_size):
             results = [
                 (rank_l, _pruned_dijkstra(adj, self._order[rank_l], ranks, dists))
                 for rank_l in batch
             ]
-            self._merge_batch(batch.start, results, ranks, dists, parents)
-        return ranks, dists, parents
+            self._merge_batch(batch.start, results, ranks, dists)
+        return ranks, dists
 
     def _merge_batch(
         self,
         batch_start: int,
-        results: list[tuple[int, list[tuple[Node, float, Node | None]]]],
+        results: list[tuple[int, list[tuple[Node, float]]]],
         ranks: dict[Node, list[int]],
         dists: dict[Node, list[float]],
-        parents: dict[Node, list[Node | None]],
     ) -> None:
         """Commit one batch's searches in rank order.
 
@@ -358,13 +354,12 @@ class PrunedLandmarkLabeling:
             landmark = self._order[rank_l]
             l_ranks = ranks[landmark]
             l_dists = dists[landmark]
-            for u, d, via in settles:
+            for u, d in settles:
                 u_ranks, u_dists = ranks[u], dists[u]
                 if _tail_join_min(l_ranks, l_dists, u_ranks, u_dists, batch_start) <= d:
                     continue
                 u_ranks.append(rank_l)
                 u_dists.append(d)
-                parents[u].append(via)
 
     # ------------------------------------------------------------------
     # incremental maintenance
@@ -464,11 +459,11 @@ class PrunedLandmarkLabeling:
         # edge's repair, then resume one search per affected hub in
         # ascending rank (priority) order, merging seeds when the same
         # hub covers both endpoints.
-        seeds: dict[int, list[tuple[float, Node, Node]]] = {}
+        seeds: dict[int, list[tuple[float, Node]]] = {}
         for a, b in ((u, v), (v, u)):
-            a_ranks, a_dists, _ = edit[self._rank[a]]
+            a_ranks, a_dists = edit[self._rank[a]]
             for rank_h, d_ha in zip(a_ranks, a_dists):
-                seeds.setdefault(rank_h, []).append((d_ha + weight, b, a))
+                seeds.setdefault(rank_h, []).append((d_ha + weight, b))
         for rank_h in sorted(seeds):
             self._resume_pruned_dijkstra(edit, rank_h, seeds[rank_h])
         self.incremental_updates += 1
@@ -477,12 +472,12 @@ class PrunedLandmarkLabeling:
         self,
         edit: _LabelEdit,
         rank_h: int,
-        seeds: list[tuple[float, Node, Node]],
+        seeds: list[tuple[float, Node]],
     ) -> None:
         """Resume landmark ``rank_h``'s pruned Dijkstra from ``seeds``.
 
-        Seeds are ``(distance, node, parent)`` entries justified by an
-        existing label plus the new edge.  The search settles a node
+        Seeds are ``(distance, node)`` entries justified by an existing
+        label plus the new edge.  The search settles a node
         only when the labels cannot already certify its distance, in
         which case the node's row gets the entry tightened (or
         inserted).
@@ -491,28 +486,28 @@ class PrunedLandmarkLabeling:
         rank = self._rank
         # The hub's own row never changes here: it holds a zero-distance
         # entry, so it always prunes itself.
-        h_ranks, h_dists, _ = edit[rank_h]
-        heap: list[tuple[float, int, Node, Node | None]] = []
+        h_ranks, h_dists = edit[rank_h]
+        heap: list[tuple[float, int, Node]] = []
         counter = 0
-        for d, node, via in seeds:
-            heap.append((d, counter, node, via))
+        for d, node in seeds:
+            heap.append((d, counter, node))
             counter += 1
         heapq.heapify(heap)
         settled: set[Node] = set()
         while heap:
-            d, _, x, via = heapq.heappop(heap)
+            d, _, x = heapq.heappop(heap)
             if x in settled:
                 continue
             row = rank[x]
-            x_ranks, x_dists, _ = edit[row]
+            x_ranks, x_dists = edit[row]
             if _merge_join_min(h_ranks, h_dists, x_ranks, x_dists) <= d:
                 continue
             settled.add(x)
-            edit.set_label(row, rank_h, d, rank[via])
+            edit.set_label(row, rank_h, d)
             for y, w in adj[x].items():
                 if y in settled:
                     continue
-                heapq.heappush(heap, (d + w, counter, y, x))
+                heapq.heappush(heap, (d + w, counter, y))
                 counter += 1
 
     # ------------------------------------------------------------------
@@ -735,85 +730,15 @@ class PrunedLandmarkLabeling:
         return all_pairs_distances(self, sources, targets)
 
     def path(self, u: Node, v: Node) -> list[Node]:
-        """Exact shortest path as a node list (``[u, ..., v]``).
+        """One exact shortest path ``[u, ..., v]``: a graph Dijkstra.
 
-        Reconstruction: find the best hub ``h``, walk stored parent
-        pointers from ``u`` up to ``h`` and from ``v`` up to ``h``.  A
-        parent pointer step is itself justified by the index, so the walk
-        is iterative and terminates (distance-to-hub strictly decreases).
+        The labels hold distances only; a path is needed once per
+        answer, to materialize a team, so it comes from the graph.
         """
         for node in (u, v):
             if node not in self._rank:
                 raise GraphError(f"node {node!r} not in index")
-        if u == v:
-            return [u]
-        hub = self._best_hub(u, v)
-        if hub is None:
-            raise GraphError(f"no path between {u!r} and {v!r}")
-        try:
-            left = self._walk_to_hub(u, hub)
-            right = self._walk_to_hub(v, hub)
-            path = left + right[::-1][1:]
-        except (GraphError, RecursionError):
-            if not self.incremental_updates:
-                raise
-            return self._fallback_path(u, v)
-        if self.incremental_updates:
-            # Incremental updates tighten distances but can leave parent
-            # pointers of superseded entries stale; re-weigh the walk and
-            # repair with one graph Dijkstra if it is no longer shortest.
-            total = sum(self._graph.weight(x, y) for x, y in zip(path, path[1:]))
-            if total > self.distance(u, v) + 1e-9 * max(1.0, total):
-                return self._fallback_path(u, v)
-        return path
-
-    def _fallback_path(self, u: Node, v: Node) -> list[Node]:
-        """Exact path via a plain graph Dijkstra (stale-parent repair)."""
         _, path = shortest_path(self._graph, u, v)
-        return path
-
-    def _best_hub(self, u: Node, v: Node) -> Node | None:
-        best_rank = self._flat.best_hub_rank(self._rank[u], self._rank[v])
-        if best_rank < 0:
-            return None
-        return self._order[best_rank]
-
-    def _parent_entry(self, node: Node, hub_rank: int) -> tuple[bool, Node | None]:
-        """``(found, parent)`` for ``node``'s label entry at ``hub_rank``."""
-        flat = self._flat
-        start, stop = flat.row_bounds(self._rank[node])
-        idx = bisect_left(flat.ranks, hub_rank, start, stop)
-        if idx < stop and flat.ranks[idx] == hub_rank:
-            parent_rank = flat.parents[idx]
-            return True, None if parent_rank < 0 else self._order[parent_rank]
-        return False, None
-
-    def _walk_to_hub(self, node: Node, hub: Node) -> list[Node]:
-        """Walk parent pointers from ``node`` to ``hub`` (inclusive)."""
-        hub_rank = self._rank[hub]
-        path = [node]
-        current = node
-        while current != hub:
-            found, nxt = self._parent_entry(current, hub_rank)
-            if not found:
-                # `current` carries no entry for `hub`: it was pruned during
-                # `hub`'s Dijkstra, or the batch merge filtered the entry as
-                # redundant.  Either way the pair is certified through some
-                # other hub (possibly `current` itself, in which case the
-                # recursive call walks `hub`'s parent chain in `current`'s
-                # own search tree), so recurse on the remaining segment.
-                inner = self._best_hub(current, hub)
-                if inner is None:
-                    raise GraphError(
-                        f"path reconstruction failed between {node!r} and {hub!r}"
-                    )
-                sub = self.path(current, hub)
-                path.extend(sub[1:])
-                return path
-            if nxt is None:  # current is the hub itself (defensive)
-                break
-            path.append(nxt)
-            current = nxt
         return path
 
     def clone(self, graph: Graph | None = None) -> "PrunedLandmarkLabeling":
@@ -849,12 +774,11 @@ class PrunedLandmarkLabeling:
     def export_flat_labels(self) -> dict:
         """The complete index state as flat columns — zero-copy.
 
-        Returns ``{"order", "counts", "ranks", "dists", "parents",
+        Returns ``{"order", "counts", "ranks", "dists",
         "incremental_updates"}`` where ``counts`` holds per-node entry
-        counts in landmark-rank order and the three columns are the
-        concatenated label rows as :mod:`array` arrays (parents
-        rank-encoded, ``-1`` for none) — exactly the snapshot codec's
-        on-disk layout, so encoding each column is one ``tobytes``
+        counts in landmark-rank order and the two columns are the
+        concatenated label rows as :mod:`array` arrays — exactly the
+        snapshot codec's on-disk layout, so encoding each column is one ``tobytes``
         memcpy.  The index hands out its store's own columns; callers
         must treat them as read-only.  :meth:`from_flat_labels`
         adopts them back without inflation.
@@ -865,7 +789,6 @@ class PrunedLandmarkLabeling:
             "counts": flat.row_counts(),
             "ranks": flat.ranks,
             "dists": flat.dists,
-            "parents": flat.parents,
             "incremental_updates": self.incremental_updates,
         }
 
@@ -900,18 +823,13 @@ class PrunedLandmarkLabeling:
         dists_col = state["dists"]
         if not isinstance(dists_col, array):
             dists_col = array(DIST_TYPECODE, dists_col)
-        parents_col = state["parents"]
-        if not isinstance(parents_col, array):
-            parents_col = array(PARENT_TYPECODE, parents_col)
         index = cls.__new__(cls)
         index._graph = graph
         index._order = order
         index._rank = {node: i for i, node in enumerate(order)}
         index._use_numpy = numpy_available()
         try:
-            index._flat = FlatLabelStore.from_columns(
-                counts, ranks_col, dists_col, parents_col
-            )
+            index._flat = FlatLabelStore.from_columns(counts, ranks_col, dists_col)
         except ValueError as exc:
             raise GraphError(str(exc)) from None
         index._source_cache = {}
@@ -932,12 +850,19 @@ class PrunedLandmarkLabeling:
     def total_label_entries(self) -> int:
         return self._flat.total_entries
 
+    @property
+    def label_bytes(self) -> int:
+        """Label memory: the bytes of the hub-rank and distance columns
+        (u32 + f64 per entry, the snapshot's label layout)."""
+        ranks, dists = self._flat.ranks, self._flat.dists
+        return len(ranks) * ranks.itemsize + len(dists) * dists.itemsize
+
     def label_of(self, node: Node) -> list[tuple[Node, float]]:
         """Return ``node``'s label as ``[(landmark, distance), ...]``."""
         row = self._rank.get(node)
         if row is None:
             raise GraphError(f"node {node!r} not in index")
-        row_ranks, row_dists, _ = self._flat.row_lists(row)
+        row_ranks, row_dists = self._flat.row_lists(row)
         order = self._order
         return [(order[r], d) for r, d in zip(row_ranks, row_dists)]
 
@@ -953,8 +878,8 @@ class PrunedLandmarkLabeling:
 class _LabelEdit(dict):
     """One write call's label rows over an immutable :class:`FlatLabelStore`.
 
-    ``edit[row]`` is the row's ``(hub ranks, distances, parent ranks)``
-    as lists, copied out of the store on first access, so prune checks
+    ``edit[row]`` is the row's ``(hub ranks, distances)`` as lists,
+    copied out of the store on first access, so prune checks
     merge-join plain lists at the cost of one dict lookup.
     :meth:`set_label` edits a copy; :meth:`publish` splices only the
     edited rows into a new store.
@@ -965,26 +890,24 @@ class _LabelEdit(dict):
         self._flat = flat
         self._written: set[int] = set()
 
-    def __missing__(self, row: int) -> tuple[list[int], list[float], list[int]]:
+    def __missing__(self, row: int) -> tuple[list[int], list[float]]:
         entry = self[row] = self._flat.row_lists(row)
         return entry
 
-    def set_label(self, row: int, rank_h: int, dist: float, parent_rank: int) -> None:
+    def set_label(self, row: int, rank_h: int, dist: float) -> None:
         """Insert or tighten ``row``'s entry for hub rank ``rank_h``."""
-        ranks, dists, parents = self[row]
+        ranks, dists = self[row]
         self._written.add(row)
         idx = bisect_left(ranks, rank_h)
         if idx < len(ranks) and ranks[idx] == rank_h:
             dists[idx] = dist
-            parents[idx] = parent_rank
         else:
             ranks.insert(idx, rank_h)
             dists.insert(idx, dist)
-            parents.insert(idx, parent_rank)
 
     def append(self, row: int) -> None:
         """A new row past the store's end holding only its self-label."""
-        self[row] = ([row], [0.0], [-1])
+        self[row] = ([row], [0.0])
         self._written.add(row)
 
     def publish(self) -> FlatLabelStore:

@@ -1,8 +1,8 @@
 """Flat-array storage and vectorized query kernels for the 2-hop cover.
 
 The snapshot codec (:mod:`repro.storage.codec`) has always written PLL
-labels as flat little-endian arrays — per-node entry counts plus three
-``T``-long columns (hub ranks, hub distances, parent ranks).  Until this
+labels as flat little-endian arrays — per-node entry counts plus two
+``T``-long columns (hub ranks and hub distances).  Until this
 module existed the runtime immediately re-inflated those columns into
 per-node Python lists, so every query paid Python-object dispatch per
 label entry.  :class:`FlatLabelStore` keeps the columns *flat at
@@ -11,9 +11,8 @@ runtime* in the exact on-disk layout:
 * ``offsets[i] .. offsets[i + 1]`` delimit the label of the node at
   landmark rank ``i`` (rows are stored rank-ascending, and hub ranks are
   sorted ascending within a row — the invariant every kernel relies on);
-* ``ranks`` / ``dists`` / ``parents`` are :mod:`array` columns (u32 /
-  f64 / i32, parents encoded as landmark ranks with ``-1`` for "none"),
-  which makes snapshot encode/decode a straight ``tobytes`` /
+* ``ranks`` / ``dists`` are :mod:`array` columns (u32 / f64), which
+  makes snapshot encode/decode a straight ``tobytes`` /
   ``frombytes`` memcpy with no per-entry work.
 
 Point queries (:meth:`FlatLabelStore.merge_join_rows`) run the classic
@@ -63,7 +62,6 @@ except ImportError:  # pragma: no cover - numpy-less environments
 __all__ = [
     "FlatLabelStore",
     "RANK_TYPECODE",
-    "PARENT_TYPECODE",
     "DIST_TYPECODE",
     "OFFSET_TYPECODE",
     "numpy_available",
@@ -72,7 +70,6 @@ __all__ = [
 # array typecodes are platform-sized; resolve the 4-byte ones once
 # (mirrors repro.storage.codec, which owns the on-disk layout).
 RANK_TYPECODE = "I" if array("I").itemsize == 4 else "L"
-PARENT_TYPECODE = "i" if array("i").itemsize == 4 else "l"
 DIST_TYPECODE = "d"
 OFFSET_TYPECODE = "q"
 
@@ -103,19 +100,12 @@ class FlatLabelStore:
     (:meth:`splice`, the write path).
     """
 
-    __slots__ = ("offsets", "ranks", "dists", "parents", "_np_cols")
+    __slots__ = ("offsets", "ranks", "dists", "_np_cols")
 
-    def __init__(
-        self,
-        offsets: array,
-        ranks: array,
-        dists: array,
-        parents: array,
-    ) -> None:
+    def __init__(self, offsets: array, ranks: array, dists: array) -> None:
         self.offsets = offsets
         self.ranks = ranks
         self.dists = dists
-        self.parents = parents
         self._np_cols: tuple | None = None
 
     # ------------------------------------------------------------------
@@ -123,47 +113,28 @@ class FlatLabelStore:
     # ------------------------------------------------------------------
     @classmethod
     def from_rows(
-        cls,
-        order: Sequence,
-        rank_of: dict,
-        row_ranks: dict,
-        row_dists: dict,
-        row_parents: dict,
+        cls, order: Sequence, row_ranks: dict, row_dists: dict
     ) -> "FlatLabelStore":
-        """Flatten a build's per-node label lists into columns.
-
-        ``row_parents`` holds node ids (or ``None``); they are encoded
-        as landmark ranks via ``rank_of`` so the columns carry no object
-        references at all.
-        """
+        """Flatten a build's per-node label lists into columns."""
         start = time.perf_counter()
         obs.global_registry().counter("flat_store_from_rows").inc()
         offsets = array(OFFSET_TYPECODE, [0])
         ranks = array(RANK_TYPECODE)
         dists = array(DIST_TYPECODE)
-        parents = array(PARENT_TYPECODE)
         for node in order:
             ranks.extend(row_ranks[node])
             dists.extend(row_dists[node])
-            parents.extend(
-                -1 if parent is None else rank_of[parent]
-                for parent in row_parents[node]
-            )
             offsets.append(len(ranks))
         _record_publication(start)
-        return cls(offsets, ranks, dists, parents)
+        return cls(offsets, ranks, dists)
 
     @classmethod
     def from_columns(
-        cls,
-        counts: Iterable[int],
-        ranks: array,
-        dists: array,
-        parents: array,
+        cls, counts: Iterable[int], ranks: array, dists: array
     ) -> "FlatLabelStore":
         """Adopt flat columns as-is (the snapshot decode hands them over).
 
-        Only the prefix-sum offsets are computed; the three columns are
+        Only the prefix-sum offsets are computed; the two columns are
         referenced, not copied, so a warm start performs no per-entry
         work.
         """
@@ -173,21 +144,21 @@ class FlatLabelStore:
         for count in counts:
             total += count
             offsets.append(total)
-        if total != len(ranks) or total != len(dists) or total != len(parents):
+        if total != len(ranks) or total != len(dists):
             raise ValueError(
                 f"label columns disagree: counts sum to {total}, columns "
-                f"hold {len(ranks)}/{len(dists)}/{len(parents)} entries"
+                f"hold {len(ranks)}/{len(dists)} entries"
             )
-        return cls(offsets, ranks, dists, parents)
+        return cls(offsets, ranks, dists)
 
     def splice(
-        self, rows: dict[int, tuple[Sequence[int], Sequence[float], Sequence[int]]]
+        self, rows: dict[int, tuple[Sequence[int], Sequence[float]]]
     ) -> "FlatLabelStore":
         """A new store with ``rows`` replaced; this one is left untouched.
 
-        ``rows`` maps a row index to its full ``(ranks, dists, parent
-        ranks)`` columns; indexes from :attr:`num_rows` on append rows
-        and must leave no gap.  The spans between replaced rows are
+        ``rows`` maps a row index to its full ``(ranks, dists)`` columns;
+        indexes from :attr:`num_rows` on append rows and must leave no
+        gap.  The spans between replaced rows are
         copied with one slice copy per column.  An empty ``rows``
         returns this store itself.
         """
@@ -199,7 +170,6 @@ class FlatLabelStore:
         offsets = array(OFFSET_TYPECODE, [0])
         ranks = array(RANK_TYPECODE)
         dists = array(DIST_TYPECODE)
-        parents = array(PARENT_TYPECODE)
         copied = 0  # rows below this index are already in the new columns
         for row in [*sorted(rows), None]:
             stop = num_rows if row is None else min(row, num_rows)
@@ -208,19 +178,17 @@ class FlatLabelStore:
                 shift = len(ranks) - lo
                 ranks.extend(self.ranks[lo:hi])
                 dists.extend(self.dists[lo:hi])
-                parents.extend(self.parents[lo:hi])
                 span = old_offsets[copied + 1 : stop + 1]
                 offsets.extend(span if shift == 0 else (o + shift for o in span))
             if row is None:
                 break
-            row_ranks, row_dists, row_parents = rows[row]
+            row_ranks, row_dists = rows[row]
             ranks.extend(row_ranks)
             dists.extend(row_dists)
-            parents.extend(row_parents)
             offsets.append(len(ranks))
             copied = row + 1
         _record_publication(start)
-        return type(self)(offsets, ranks, dists, parents)
+        return type(self)(offsets, ranks, dists)
 
     # ------------------------------------------------------------------
     # introspection
@@ -242,16 +210,11 @@ class FlatLabelStore:
         offsets = self.offsets
         return [offsets[i + 1] - offsets[i] for i in range(self.num_rows)]
 
-    def row_lists(self, row: int) -> tuple[list[int], list[float], list[int]]:
-        """One row's columns as plain lists, parents as ranks: the copy a
-        write reads and edits before :meth:`splice` (and the inspection
-        path)."""
+    def row_lists(self, row: int) -> tuple[list[int], list[float]]:
+        """One row's columns as plain lists: the copy a write reads and
+        edits before :meth:`splice` (and the inspection path)."""
         start, stop = self.offsets[row], self.offsets[row + 1]
-        return (
-            self.ranks[start:stop].tolist(),
-            self.dists[start:stop].tolist(),
-            self.parents[start:stop].tolist(),
-        )
+        return self.ranks[start:stop].tolist(), self.dists[start:stop].tolist()
 
     # ------------------------------------------------------------------
     # query kernels
@@ -275,26 +238,6 @@ class FlatLabelStore:
             else:
                 j += 1
         return best
-
-    def best_hub_rank(self, row_a: int, row_b: int) -> int:
-        """The hub rank minimizing the joined distance, or ``-1``."""
-        ranks, dists, offsets = self.ranks, self.dists, self.offsets
-        i, len_a = offsets[row_a], offsets[row_a + 1]
-        j, len_b = offsets[row_b], offsets[row_b + 1]
-        best, best_rank = _INF, -1
-        while i < len_a and j < len_b:
-            ra, rb = ranks[i], ranks[j]
-            if ra == rb:
-                total = dists[i] + dists[j]
-                if total < best:
-                    best, best_rank = total, ra
-                i += 1
-                j += 1
-            elif ra < rb:
-                i += 1
-            else:
-                j += 1
-        return best_rank
 
     def batch_row_mins(self, src_row: int, target_rows: list[int]) -> list[float]:
         """Stdlib batched kernel: source scattered once, targets gathered.

@@ -15,7 +15,7 @@ queries through a boundary-distance summary:
 * A **boundary summary graph** is assembled from shard-local distances
   between boundary pairs co-resident in a shard, and Dijkstra from each
   boundary node over that summary yields exact global boundary-to-
-  boundary distances ``B`` (with predecessors, so paths stitch too).
+  boundary distances ``B``.
 
 Exactness does not require shard-local distances to equal global ones.
 Any global shortest path decomposes at its boundary crossings into
@@ -65,10 +65,12 @@ kernel of installs without numpy, picked at construction as the PLL
 picks its own, and the reference the vector path is tested against.
 
 Determinism: shard subgraphs inherit the parent graph's insertion order,
-per-shard builds use the standard deterministic batch schedule,
-summary edges resolve ties toward the lowest shard index, and
-the summary Dijkstra breaks heap ties by boundary position — the same
-graph and plan always produce bit-identical answers in every process.
+per-shard builds use the standard deterministic batch schedule, a
+summary edge keeps the minimum of its shard-local distances (``min`` is
+exact, so it does not matter which shard supplied it), and the summary
+Dijkstra breaks heap ties by boundary position — the same graph and plan
+always produce bit-identical answers in every process.  :meth:`path` is
+one Dijkstra over the oracle's graph, as for every other oracle.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ from collections.abc import Callable, Iterable
 
 from .. import obs
 from .adjacency import Graph, GraphError, Node
+from .dijkstra import shortest_path
 from .fifo import evict_for_insert
 from .partition import ShardPlan, plan_shards
 from .pll import (
@@ -213,15 +216,13 @@ class ShardedPLLOracle:
         """All-pairs boundary distances via Dijkstra on the summary graph.
 
         Summary edges are shard-local distances between boundary pairs
-        co-resident in a shard (minimum over shards, ties to the lowest
-        shard index so path stitching is deterministic).  Dijkstra from
-        each boundary node then gives exact global distances ``B`` plus
-        predecessor/shard annotations for path reconstruction.
+        co-resident in a shard (minimum over shards).  Dijkstra from each
+        boundary node then gives exact global distances ``B``.
         """
         start = time.perf_counter()
         boundary = self.plan.boundary
         nb = len(boundary)
-        adj: list[dict[int, tuple[float, int]]] = [{} for _ in range(nb)]
+        adj: list[dict[int, float]] = [{} for _ in range(nb)]
         edge_count = 0
         with obs.span("shard.boundary_summary", boundary=nb) as span:
             for s, members in enumerate(self._shard_boundary):
@@ -233,10 +234,10 @@ class ShardedPLLOracle:
                         continue
                     i, j = self._bindex[b1], self._bindex[b2]
                     known = adj[i].get(j)
-                    if known is None or d < known[0]:
-                        if known is None:
-                            edge_count += 1
-                        adj[i][j] = (d, s)
+                    if known is None:
+                        edge_count += 1
+                    if known is None or d < known:
+                        adj[i][j] = d
             self._summary_adj = adj
             self._apsp()
             if span.is_recording:
@@ -250,33 +251,29 @@ class ShardedPLLOracle:
         registry.counter("shard_boundary_summary_seconds").inc(elapsed)
 
     def _apsp(self) -> None:
-        """Exact boundary-to-boundary distances + predecessor edges.
+        """Exact boundary-to-boundary distances.
 
         Dijkstra from every boundary node over the summary adjacency;
-        heap ties break by boundary position, so ``B`` and the
-        predecessor annotations are cross-process deterministic.
+        heap ties break by boundary position, so ``B`` is
+        cross-process deterministic.
         """
         adj = self._summary_adj
         nb = len(adj)
         self._B: list[list[float]] = []
-        self._pred: list[list[tuple[int, int] | None]] = []
         for i in range(nb):
             dist = [_INF] * nb
-            pred: list[tuple[int, int] | None] = [None] * nb
             dist[i] = 0.0
             heap: list[tuple[float, int]] = [(0.0, i)]
             while heap:
                 d, j = heapq.heappop(heap)
                 if d > dist[j]:
                     continue
-                for t, (w, s) in adj[j].items():
+                for t, w in adj[j].items():
                     cand = d + w
                     if cand < dist[t]:
                         dist[t] = cand
-                        pred[t] = (j, s)
                         heapq.heappush(heap, (cand, t))
             self._B.append(dist)
-            self._pred.append(pred)
         if self._use_numpy:
             B = _np.array(self._B, dtype=_np.float64).reshape(nb, nb)
             B.flags.writeable = False
@@ -469,90 +466,11 @@ class ShardedPLLOracle:
             out[i] = vector[cols]
         return out
 
-    # ------------------------------------------------------------------
-    # path reconstruction
-    # ------------------------------------------------------------------
-    def _local_boundary(self, node: Node) -> dict[Node, tuple[float, int]]:
-        """``{boundary: (shard-local distance, shard)}`` for ``node``."""
-        out: dict[Node, tuple[float, int]] = {}
-        for s in self.plan.shards_of(node):
-            members = self._shard_boundary[s]
-            if not members:
-                continue
-            for b, d in self._shards[s].distances_from(node, members).items():
-                if d == _INF:
-                    continue
-                known = out.get(b)
-                if known is None or d < known[0]:
-                    out[b] = (d, s)
-        return out
-
-    def _summary_path(self, i: int, j: int) -> list[Node]:
-        """Expanded node path between boundary positions ``i`` and ``j``."""
-        boundary = self.plan.boundary
-        if i == j:
-            return [boundary[i]]
-        hops: list[tuple[int, int, int]] = []  # (from, to, shard)
-        at = j
-        while at != i:
-            step = self._pred[i][at]
-            if step is None:  # pragma: no cover - caller checked B[i][j]
-                raise GraphError(
-                    f"no path between {boundary[i]!r} and {boundary[j]!r}"
-                )
-            prev, shard = step
-            hops.append((prev, at, shard))
-            at = prev
-        path = [boundary[i]]
-        for prev, to, shard in reversed(hops):
-            segment = self._shards[shard].path(boundary[prev], boundary[to])
-            path.extend(segment[1:])
-        return path
-
     def path(self, u: Node, v: Node) -> list[Node]:
-        """Exact shortest path as a node list (``[u, ..., v]``).
-
-        Picks the minimizing decomposition — shard-local, or
-        ``u -> b1 -> ... -> b2 -> v`` through the boundary summary — and
-        expands each segment with the owning shard's own
-        :meth:`PrunedLandmarkLabeling.path`.  On graphs with unique
-        shortest paths (all differential/identity suites) any minimizing
-        decomposition concatenates to that unique path, so the result
-        matches the monolithic oracle node for node.
-        """
+        """One exact shortest path ``[u, ..., v]``: a graph Dijkstra."""
         self._require_node(u)
-        if u == v:
-            return [u]
         self._require_node(v)
-        local_best, local_shard = _INF, -1
-        shards_v = set(self.plan.shards_of(v))
-        for s in self.plan.shards_of(u):
-            if s not in shards_v:
-                continue
-            d = self._shards[s].distance(u, v)
-            if d < local_best:
-                local_best, local_shard = d, s
-        su = self._local_boundary(u)
-        sv = self._local_boundary(v)
-        cross_best = _INF
-        cross_args: tuple | None = None
-        for b1, (d1, s1) in su.items():
-            i = self._bindex[b1]
-            row = self._B[i]
-            for b2, (d2, s2) in sv.items():
-                j = self._bindex[b2]
-                total = d1 + row[j] + d2
-                if total < cross_best:
-                    cross_best = total
-                    cross_args = (b1, s1, i, b2, s2, j)
-        if local_best == _INF and cross_best == _INF:
-            raise GraphError(f"no path between {u!r} and {v!r}")
-        if local_best <= cross_best:
-            return self._shards[local_shard].path(u, v)
-        b1, s1, i, b2, s2, j = cross_args
-        path = self._shards[s1].path(u, b1)
-        path.extend(self._summary_path(i, j)[1:])
-        path.extend(self._shards[s2].path(b2, v)[1:])
+        _, path = shortest_path(self._graph, u, v)
         return path
 
     # ------------------------------------------------------------------
@@ -588,7 +506,6 @@ class ShardedPLLOracle:
             index._B_array = self._B_array
         index._summary_adj = self._summary_adj
         index._B = self._B
-        index._pred = self._pred
         index._init_instruments()
         return index
 
@@ -720,10 +637,12 @@ class ShardedPLLOracle:
         return self._shards[i]
 
     def label_bytes(self, i: int | None = None) -> int:
-        """Label memory (16 bytes/entry: u32 rank + f64 dist + i32 parent)."""
+        """Label memory of shard ``i``, or of every shard: each shard's
+        :attr:`PrunedLandmarkLabeling.label_bytes` (12 bytes per entry,
+        u32 rank + f64 distance)."""
         if i is not None:
-            return self._shards[i].total_label_entries * 16
-        return sum(pll.total_label_entries * 16 for pll in self._shards)
+            return self._shards[i].label_bytes
+        return sum(pll.label_bytes for pll in self._shards)
 
     @property
     def total_label_entries(self) -> int:
@@ -735,14 +654,14 @@ class ShardedPLLOracle:
         The label states are zero-copy
         :meth:`PrunedLandmarkLabeling.export_flat_labels` exports; the
         boundary document carries the boundary node list plus the raw
-        summary edges ``[i, j, weight, shard]`` (the all-pairs matrix is
+        summary edges ``[i, j, weight]`` (the all-pairs matrix is
         recomputed deterministically from them on load — a handful of
         tiny Dijkstras, not a label build).
         """
         edges = [
-            [i, j, w, s]
+            [i, j, w]
             for i, row in enumerate(self._summary_adj)
-            for j, (w, s) in sorted(row.items())
+            for j, w in sorted(row.items())
         ]
         boundary_doc = {"boundary": list(self.plan.boundary), "edges": edges}
         return [pll.export_flat_labels() for pll in self._shards], boundary_doc
@@ -761,7 +680,9 @@ class ShardedPLLOracle:
         :meth:`PrunedLandmarkLabeling.from_flat_labels` (which validates
         the landmark order against the shard subgraph, so a plan/label
         mismatch surfaces as :class:`GraphError` rather than wrong
-        distances); ``pll_build_count`` is never bumped.
+        distances); ``pll_build_count`` is never bumped.  A summary edge
+        is ``[i, j, weight]``; the shard index that older snapshots
+        carry as a fourth field is ignored.
         """
         self = cls.__new__(cls)
         self._init_topology(graph, plan)
@@ -785,14 +706,15 @@ class ShardedPLLOracle:
             self._shards.append(pll)
         self._init_columns()
         nb = len(plan.boundary)
-        adj: list[dict[int, tuple[float, int]]] = [{} for _ in range(nb)]
+        adj: list[dict[int, float]] = [{} for _ in range(nb)]
         try:
-            for i, j, w, s in boundary_doc.get("edges", ()):
-                i, j, s = int(i), int(j), int(s)
-                w = float(w)
-                if not (0 <= i < nb and 0 <= j < nb and 0 <= s < plan.num_shards):
+            for edge in boundary_doc.get("edges", ()):
+                if len(edge) not in (3, 4):  # format 1 appends a shard index
+                    raise GraphError("boundary summary edge is not [i, j, w]")
+                i, j, w = int(edge[0]), int(edge[1]), float(edge[2])
+                if not (0 <= i < nb and 0 <= j < nb):
                     raise GraphError("boundary summary edge out of range")
-                adj[i][j] = (w, s)
+                adj[i][j] = w
         except (TypeError, ValueError) as exc:
             raise GraphError(f"malformed boundary summary ({exc})") from None
         self._summary_adj = adj

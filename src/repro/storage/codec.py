@@ -26,7 +26,11 @@ sections; this module defines what is *in* them for an engine snapshot:
       u32[N]  per-node entry counts, in rank order
       u32[T]  hub ranks, nodes concatenated in rank order
       f64[T]  hub distances
-      i32[T]  parent ranks (-1 = none)
+
+  Format 1 sections (:data:`~repro.storage.format.SNAPSHOT_FORMAT_VERSION`
+  history) end with one more column, ``i32[T]`` parent ranks, which the
+  decoder skips: a section whose columns span ``12 * T`` bytes is format
+  2, ``16 * T`` bytes format 1, and any other length is corrupt.
 
   Arrays are little-endian on disk whatever the host byte order, packed
   with the stdlib :mod:`array`/:mod:`struct` modules — ``numpy`` is
@@ -64,11 +68,14 @@ __all__ = [
 
 # array typecodes are platform-sized; resolve the 4-byte ones once.
 _U32 = "I" if array("I").itemsize == 4 else "L"
-_I32 = "i" if array("i").itemsize == 4 else "l"
 _SWAP = sys.byteorder == "big"
 
 _LABEL_HEAD = struct.Struct("<II")
 _LABEL_MID = struct.Struct("<IQ")
+#: Column bytes per label entry: u32 hub rank + f64 distance (format 2),
+#: plus an i32 parent rank in format 1.
+_ENTRY_BYTES = 12
+_FORMAT1_ENTRY_BYTES = 16
 
 #: Identifies an engine snapshot's manifest (vs other future payloads).
 SNAPSHOT_KIND = "engine-snapshot"
@@ -129,7 +136,6 @@ def encode_flat_labels(state: dict) -> bytes:
             _pack(_U32, state["counts"]),
             _pack_array(state["ranks"]),
             _pack_array(state["dists"]),
-            _pack_array(state["parents"]),
         ]
     )
 
@@ -138,7 +144,8 @@ def decode_labels_flat(blob: bytes) -> dict:
     """Inverse of :func:`encode_flat_labels` — columns stay flat.
 
     Returns the shape :meth:`PrunedLandmarkLabeling.from_flat_labels`
-    adopts directly, so a warm start never inflates per-node lists.
+    adopts directly, so a warm start never inflates per-node lists.  A
+    format-1 section's trailing parent column is skipped.
     """
     if len(blob) < _LABEL_HEAD.size:
         raise CorruptSnapshotError("label section shorter than its header")
@@ -164,22 +171,24 @@ def decode_labels_flat(blob: bytes) -> dict:
         raise CorruptSnapshotError(
             f"label counts sum to {sum(counts)}, header claims {total}"
         )
+    column_bytes = len(blob) - offset
+    if column_bytes not in (total * _ENTRY_BYTES, total * _FORMAT1_ENTRY_BYTES):
+        raise CorruptSnapshotError(
+            f"label section truncated or overlong: {column_bytes} column "
+            f"bytes for {total} entries"
+        )
     flat_ranks, offset = _unpack_array(_U32, blob, offset, total)
     flat_dists, offset = _unpack_array("d", blob, offset, total)
-    flat_parents, offset = _unpack_array(_I32, blob, offset, total)
     # Rank values index into ``order``: a CRC only proves the bytes are
     # what the writer wrote, not that the writer was sane — reject
     # out-of-range references here rather than IndexError-ing later.
     if total and not (0 <= min(flat_ranks) and max(flat_ranks) < n_nodes):
         raise CorruptSnapshotError("label hub rank out of range")
-    if total and not (-1 <= min(flat_parents) and max(flat_parents) < n_nodes):
-        raise CorruptSnapshotError("label parent rank out of range")
     return {
         "order": order,
         "counts": counts,
         "ranks": flat_ranks,
         "dists": flat_dists,
-        "parents": flat_parents,
         "incremental_updates": incremental_updates,
     }
 

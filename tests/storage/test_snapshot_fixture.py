@@ -17,8 +17,10 @@ Three contracts follow from it:
 
 * the snapshot loads and serves those requests with zero index builds;
 * the answers are byte-identical to the recorded canonical JSON;
-* a freshly built index encodes, through
-  :func:`encode_flat_labels`, to exactly the fixture's label bytes.
+* a freshly built index exports exactly the fixture's labels: decoding
+  the fixture's format-1 sections (which also carry a parent-rank
+  column, skipped on load) gives the same order, counts,
+  ``incremental_updates`` and rank and distance bytes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 
 from repro.api import TeamFormationEngine, TeamRequest
 from repro.graph.pll import pll_build_count
-from repro.storage import encode_flat_labels, read_container
+from repro.storage import decode_labels_flat, read_container
 from tests.conftest import make_random_network
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -58,5 +60,10 @@ def test_fresh_build_encodes_to_the_fixture_label_bytes():
         engine.search_oracle(first_request.objective, first_request.gamma),
         engine.raw_oracle(),
     ]
-    fresh = [encode_flat_labels(oracle.export_flat_labels()) for oracle in oracles]
-    assert fresh == [sections["labels/0"], sections["labels/1"]]
+    for oracle, name in zip(oracles, ("labels/0", "labels/1")):
+        fresh = oracle.export_flat_labels()
+        pinned = decode_labels_flat(sections[name])
+        for key in ("order", "counts", "incremental_updates"):
+            assert fresh[key] == pinned[key], (name, key)
+        for column in ("ranks", "dists"):
+            assert fresh[column].tobytes() == pinned[column].tobytes(), (name, column)
