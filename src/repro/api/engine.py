@@ -23,7 +23,10 @@ its ``apply``, skill-only edits reuse the index untouched, and
 everything else — removals, weight increases, authority changes under
 an authority-folded graph — falls back to a fresh build, or to what the
 oracle's ``partial_rebuild`` narrows it to (a sharded index on an unchanged
-shard plan rebuilds only the shards the delta touched).
+shard plan rebuilds only the shards the delta touched).  A sharded
+engine keeps its shard plan across a delta that provably leaves it
+unchanged — skill and authority edits, reweights, and new edges inside
+one leaf region of the plan — and re-runs the partitioner otherwise.
 :meth:`TeamFormationEngine.apply_updates` runs the same reconciliation
 eagerly and reports what happened per cached index.
 
@@ -115,11 +118,21 @@ from .solvers import DEFAULT_REGISTRY
 __all__ = ["TeamFormationEngine"]
 
 
-def _keeps_topology(delta: tuple[NetworkMutation, ...] | None) -> bool:
-    """Whether ``delta`` leaves the node set and the edge set unchanged."""
+def _keeps_plan(
+    delta: tuple[NetworkMutation, ...] | None, plan: ShardPlan
+) -> bool:
+    """Whether ``plan_shards`` provably returns ``plan`` again after ``delta``.
+
+    True when every mutation is a skill or authority edit, a reweight of
+    an existing edge, or a new edge inside one leaf region of ``plan``
+    (see :mod:`repro.graph.partition` for why such an edge keeps it).
+    """
     return delta is not None and all(
         m.op in ("update_skills", "update_h_index")
-        or (m.op == "add_collaboration" and m.old_weight is not None)
+        or (
+            m.op == "add_collaboration"
+            and (m.old_weight is not None or plan.same_region(m.u, m.v))
+        )
         for m in delta
     )
 
@@ -401,10 +414,13 @@ class TeamFormationEngine:
         fold search graphs are pure reweightings of it, so one plan is
         valid for every flavor at a given version.  Deterministic and
         seed-independent, hence identical in every process serving the
-        same network.  A plan depends only on the node order and the
-        edge set, so when every mutation since the newest memoized
-        version leaves both alone (skill and authority edits, reweights
-        of existing edges) that version's plan object is reused.
+        same network.  A version that misses the memo reuses the newest
+        memoized version's plan object when every mutation since keeps
+        it (:func:`_keeps_plan`: skill and authority edits, reweights of
+        existing edges, and new edges inside one leaf region of that
+        plan); otherwise it re-plans.  Each miss ticks
+        ``engine_shard_plans_reused`` or ``engine_shard_plans_computed``;
+        memo hits, the read path, count nothing.
         """
         version = self._network.version
         with self._mutex:
@@ -415,12 +431,15 @@ class TeamFormationEngine:
             prev_plan = self._shard_plans.get(prev_version)
         if plan is not None:
             return plan
-        if prev_plan is not None and _keeps_topology(
-            self._network.mutations_since(prev_version)
+        if prev_plan is not None and _keeps_plan(
+            self._network.mutations_since(prev_version), prev_plan
         ):
             plan = prev_plan
+            outcome = "reused"
         else:
             plan = plan_shards(self._network.graph, self.shards)
+            outcome = "computed"
+        obs.global_registry().counter(f"engine_shard_plans_{outcome}").inc()
         with self._mutex:
             while len(self._shard_plans) >= 4:
                 self._shard_plans.pop(next(iter(self._shard_plans)), None)

@@ -16,6 +16,36 @@ graph's insertion order, and ties in bin-packing break toward the lowest
 shard index.  The same graph therefore always yields the same
 :class:`ShardPlan` — and the same ``plan_hash`` — in every process, which
 is what lets snapshots verify the plan instead of serializing it.
+
+A plan from :func:`plan_shards` also records its **leaf regions**: the
+regions the recursion stopped at, each with its cut vertices, listed
+in bin-packing order.  They let a writer skip re-planning:
+:meth:`ShardPlan.same_region` says whether a new edge ``{u, v}`` has
+both endpoints in one leaf region, and such an edge leaves the plan
+unchanged — same shards, boundary, regions and hash.  The partitioner
+only ever cuts at articulation points, so its output depends on the
+block–cut-vertex structure of each region it examines, and an edge
+inside one leaf region cannot change that structure where it looks:
+
+* Take any ancestor region ``A`` the partitioner split at cut ``c``.
+  The leaf region holding ``u`` and ``v`` lies in one part of
+  ``A - c`` plus ``c``, so both endpoints lie in one part of ``A - c``
+  or one endpoint is ``c``.  Either way ``c`` stays an articulation
+  point of ``A`` with the same parts, and the same worst part.
+* Adding an edge only removes articulation points and only merges
+  parts.  Every other candidate's worst part grows or stays the same,
+  so :func:`_best_cut`'s first strict minimum is still ``c``.
+* Regions that do not hold both endpoints induce the same subgraph.
+  Node order, component membership, region sizes (the ``target`` test
+  and the largest-first pick) and the bin-packing inputs do not change.
+* A leaf region kept whole because it is biconnected stays biconnected.
+
+By induction over a burst of such edges the plan stays identical.  "Same
+shard" is not enough: a shard can hold several regions that meet at a
+cut vertex, and an edge between two of them can remove that cut vertex
+and so change the plan.  Regions stay out of ``plan_hash`` and out of
+snapshots (a restore re-plans through :func:`plan_shards`), and a
+hand-built :class:`ShardPlan` has none, so it never vouches for an edge.
 """
 
 from __future__ import annotations
@@ -45,12 +75,26 @@ class ShardPlan:
     that received one of their adjacent parts, so shard node sets may
     overlap exactly on ``boundary``.  Every non-boundary node lives in
     exactly one shard.
+
+    ``regions`` is the tuple of leaf regions the shards were packed
+    from, in packing order (each with its cut vertices, ordered by the
+    graph's insertion order), or ``None`` for a hand-built plan.  Any
+    edge whose endpoints share a region (:meth:`same_region`) leaves
+    :func:`plan_shards`'s answer unchanged (see the module docstring).
+    Regions are not part of ``plan_hash``.
     """
 
-    __slots__ = ("shards", "boundary", "_membership", "_home", "_hash")
+    __slots__ = (
+        "shards", "boundary", "regions", "_membership", "_home", "_region_of",
+        "_hash",
+    )
 
     def __init__(
-        self, shards: Iterable[Iterable[Node]], boundary: Iterable[Node]
+        self,
+        shards: Iterable[Iterable[Node]],
+        boundary: Iterable[Node],
+        *,
+        regions: Iterable[Iterable[Node]] | None = None,
     ) -> None:
         self.shards: tuple[tuple[Node, ...], ...] = tuple(
             tuple(shard) for shard in shards
@@ -62,6 +106,14 @@ class ShardPlan:
                 membership[node] = membership.get(node, ()) + (i,)
         self._membership = membership
         self._home = {node: owners[0] for node, owners in membership.items()}
+        self.regions: tuple[tuple[Node, ...], ...] | None = (
+            None if regions is None else tuple(tuple(r) for r in regions)
+        )
+        region_of: dict[Node, tuple[int, ...]] = {}
+        for i, region in enumerate(self.regions or ()):
+            for node in region:
+                region_of[node] = region_of.get(node, ()) + (i,)
+        self._region_of = region_of
         self._hash: str | None = None
 
     @property
@@ -90,6 +142,15 @@ class ShardPlan:
     def has_node(self, node: Node) -> bool:
         """Whether ``node`` is covered by any shard in the plan."""
         return node in self._membership
+
+    def same_region(self, u: Node, v: Node) -> bool:
+        """Whether ``u`` and ``v`` lie in one leaf region of this plan.
+
+        When true, adding the edge ``{u, v}`` provably keeps the plan.
+        ``False`` for a plan without regions and for unknown nodes.
+        """
+        of_v = self._region_of.get(v, ())
+        return any(i in of_v for i in self._region_of.get(u, ()))
 
     @property
     def plan_hash(self) -> str:
@@ -172,7 +233,9 @@ def plan_shards(graph: Graph, k: int) -> ShardPlan:
 
     ``k=1`` degenerates to a single shard holding the whole graph with
     an empty boundary.  ``k`` larger than the number of achievable
-    regions leaves trailing shards empty.
+    regions leaves trailing shards empty.  The returned plan records
+    the leaf regions, so :meth:`ShardPlan.same_region` can vouch for
+    edges that keep it.
     """
     if k < 1:
         raise PartitionError(f"shard count must be >= 1, got {k}")
@@ -180,7 +243,7 @@ def plan_shards(graph: Graph, k: int) -> ShardPlan:
     n = graph.num_nodes
     shards: list[list[Node]] = [[] for _ in range(k)]
     if n == 0:
-        return ShardPlan(shards, ())
+        return ShardPlan(shards, (), regions=())
     target = -(-n // k)  # ceil(n / k)
     boundary: list[Node] = []
     boundary_seen: set[Node] = set()
@@ -237,4 +300,4 @@ def plan_shards(graph: Graph, k: int) -> ShardPlan:
             if node in packed[i]:
                 shards[i].append(node)
     ordered_boundary = sorted(boundary, key=order_index.__getitem__)
-    return ShardPlan(shards, ordered_boundary)
+    return ShardPlan(shards, ordered_boundary, regions=regions)

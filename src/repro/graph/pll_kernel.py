@@ -201,10 +201,6 @@ class FlatLabelStore:
     def total_entries(self) -> int:
         return len(self.ranks)
 
-    def row_bounds(self, row: int) -> tuple[int, int]:
-        """``(start, stop)`` column bounds of ``row``'s label entries."""
-        return self.offsets[row], self.offsets[row + 1]
-
     def row_counts(self) -> list[int]:
         """Per-row entry counts, rank-ascending (the codec's layout)."""
         offsets = self.offsets

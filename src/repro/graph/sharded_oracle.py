@@ -46,9 +46,9 @@ fold).  Either way the boundary summary is then recomputed once.  Both
 run on a :meth:`ShardedPLLOracle.clone`, which shares every shard with
 the original and replaces a shard only on its first write, so the
 original — possibly still serving a solve — is never mutated.  A change
-that alters the plan itself (a new node, an edge that bypasses a cut
-vertex) is outside this scheme: the caller builds a fresh oracle over
-the new plan.
+that alters the plan itself (a new node, an edge between two regions
+that removes a cut vertex) is outside this scheme: the caller builds a
+fresh oracle over the new plan.
 
 Queries memoize each source's full answer in a bounded FIFO memo.
 With numpy the answer is one read-only float64 vector over the graph's

@@ -299,6 +299,55 @@ def test_cross_region_edge_replans_and_rebuilds(plan_calls):
     assert {key[-2][2] for key in engine.cached_oracle_keys} == {new_hash}
 
 
+def test_in_region_edge_reuses_the_shard_plan(plan_calls, tmp_path):
+    engine = TeamFormationEngine(Script(1).network(), scales=SCALES, shards=3)
+    before = indexes(engine)
+    plan = before["fold"].plan
+    assert plan.same_region("n0", "n2") and plan.same_region("n3", "n5")
+    plan_calls.clear()
+    with engine.mutate() as network:
+        network.add_collaboration("n0", "n2", weight=2.0**-41)  # chord
+        network.add_collaboration("n3", "n5", weight=2.0**-40)  # chord at a cut
+    assert engine.apply_updates() == {"cached": 0, "incremental": 2, "rebuilt": 0}
+    after = indexes(engine)
+    assert plan_calls == [], "an in-region edge must not re-plan"
+    for flavor in before:
+        assert after[flavor].plan is plan
+    expected = answers(engine)
+
+    path = engine.save_snapshot(tmp_path / "store")
+    builds = pll_build_count()
+    loaded = TeamFormationEngine.from_snapshot(path)
+    assert pll_build_count() == builds, "restore must not build any PLL"
+    assert answers(loaded) == expected
+    assert pll_build_count() == builds, "solve after restore must stay warm"
+
+
+def test_shard_plan_memo_misses_are_counted():
+    registry = obs.global_registry()
+    names = ("engine_shard_plans_reused", "engine_shard_plans_computed")
+
+    def ticks() -> list[int]:
+        return [registry.counter(name).value for name in names]
+
+    engine = TeamFormationEngine(Script(1).network(), scales=SCALES, shards=3)
+    answers(engine)
+    start = ticks()
+    answers(engine)  # memo hits: the read path counts nothing
+    assert ticks() == start
+    with engine.mutate() as network:
+        network.add_collaboration("n7", "n9", weight=2.0**-41)  # in region
+    answers(engine)
+    assert [a - b for a, b in zip(ticks(), start)] == [1, 0]
+    with engine.mutate() as network:
+        network.add_collaboration("n1", "n5", weight=2.0**-41)  # bypasses n3
+    answers(engine)
+    assert [a - b for a, b in zip(ticks(), start)] == [1, 1]
+    text = obs.render_prometheus(registry.snapshot())
+    for name in names:
+        assert f"# TYPE repro_{name} counter" in text
+
+
 # ----------------------------------------------------------------------
 # observability
 # ----------------------------------------------------------------------

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.graph import Graph, GraphError, assign_random_weights, erdos_renyi
 from repro.graph.partition import PartitionError, ShardPlan, plan_shards
@@ -205,3 +207,100 @@ def test_plan_is_cross_process_deterministic(hashseed):
     assert doc["hash"] == local.plan_hash
     assert doc["shards"] == [[repr(n) for n in s] for s in local.shards]
     assert doc["boundary"] == [repr(n) for n in local.boundary]
+
+
+# ----------------------------------------------------------------------
+# leaf regions: an edge inside one keeps the plan
+# ----------------------------------------------------------------------
+def block_graph(rng: random.Random, blocks: int, components: int) -> Graph:
+    """Random blocks hung off cut vertices, spread over ``components``.
+
+    Each block is a random spanning tree over 2-6 nodes plus random
+    chords; every block after a component's first reuses a node of an
+    earlier block of that component, which becomes a cut vertex.
+    """
+    g = Graph()
+    members: list[list[list[str]]] = [[] for _ in range(components)]
+    for b in range(blocks):
+        owned = members[b % components]
+        size = rng.randint(2, 6)
+        names = [f"c{b % components}b{b}n{i}" for i in range(size)]
+        if owned:
+            names[0] = rng.choice(rng.choice(owned))
+        for i in range(1, size):
+            g.add_edge(names[i], names[rng.randrange(i)], weight=1.0)
+        for i in range(size):
+            for j in range(i + 2, size):
+                if rng.random() < 0.3:
+                    g.add_edge(names[i], names[j], weight=1.0)
+        owned.append(names)
+    return g
+
+
+def test_regions_cover_the_shards_they_were_packed_into():
+    g = chain_of_triangles(6)
+    plan = plan_shards(g, 3)
+    assert plan.regions is not None
+    assert set().union(*map(set, plan.regions)) == set(g.nodes())
+    order = list(g.nodes())
+    for region in plan.regions:
+        assert list(region) == [n for n in order if n in set(region)]
+        assert any(set(region) <= set(shard) for shard in plan.shards)
+        for u in region:
+            for v in region:
+                assert plan.same_region(u, v)
+    # Regions stay out of the hash: a hand-built twin hashes the same.
+    twin = ShardPlan(plan.shards, plan.boundary)
+    assert twin.regions is None
+    assert twin.plan_hash == plan.plan_hash
+    assert not twin.same_region(order[0], order[1])
+    assert not plan.same_region(order[0], "ghost")
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    blocks=st.integers(min_value=1, max_value=10),
+    components=st.integers(min_value=1, max_value=3),
+    k=st.integers(min_value=1, max_value=5),
+    data=st.data(),
+)
+def test_in_region_edges_keep_the_plan(seed, blocks, components, k, data):
+    """Differential: every in-region insertion re-plans to the same plan.
+
+    Edges are drawn one after another and kept in the graph, so a burst
+    of in-region edges is checked against the plan it started from.
+    """
+    g = block_graph(random.Random(seed), blocks, components)
+    plan = plan_shards(g, k)
+    nodes = list(g.nodes())
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+        pool = data.draw(st.sampled_from(plan.regions + (tuple(nodes),)))
+        u = data.draw(st.sampled_from(pool))
+        v = data.draw(st.sampled_from(pool))
+        if u == v or g.has_edge(u, v) or not plan.same_region(u, v):
+            continue
+        g.add_edge(u, v, weight=1.0)
+        fresh = plan_shards(g, k)
+        assert fresh.shards == plan.shards
+        assert fresh.boundary == plan.boundary
+        assert fresh.regions == plan.regions
+        assert fresh.plan_hash == plan.plan_hash
+
+
+#: A k=3 tree where a same-shard insertion still changes the plan.
+TREE_EDGES = (
+    (0, 1), (0, 11), (1, 2), (1, 3), (1, 4), (2, 5), (2, 7), (3, 6), (4, 8),
+    (5, 10), (6, 12), (8, 9), (9, 13),
+)
+
+
+def test_same_shard_is_not_same_region():
+    g = Graph.from_edges(TREE_EDGES)
+    plan = plan_shards(g, 3)
+    assert [sorted(shard) for shard in plan.shards] == [
+        [1, 2, 5, 7, 10], [1, 4, 8, 9, 13], [0, 1, 3, 6, 11, 12]
+    ]
+    assert set(plan.shards_of(0)) & set(plan.shards_of(6)) == {2}
+    assert not plan.same_region(0, 6)
+    g.add_edge(0, 6, weight=1.0)
+    assert plan_shards(g, 3).plan_hash != plan.plan_hash

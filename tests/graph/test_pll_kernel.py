@@ -78,9 +78,7 @@ def test_from_columns_builds_prefix_sum_offsets():
     store = make_store(rows)
     assert store.num_rows == 3
     assert store.total_entries == 3
-    assert store.row_bounds(0) == (0, 1)
-    assert store.row_bounds(1) == (1, 3)
-    assert store.row_bounds(2) == (3, 3)
+    assert list(store.offsets) == [0, 1, 3, 3]
     assert store.row_counts() == [1, 2, 0]
     assert store.row_lists(1) == ([0, 1], [1.0, 0.0])
 
