@@ -19,14 +19,17 @@ The cache key is what the index actually depends on:
 When the network mutates, a stale entry is *upgraded* instead of
 rebuilt whenever the delta allows it: node additions and
 distance-decreasing edge changes replay onto a clone of the oracle with
-its ``apply``, skill-only edits reuse the index untouched, and
-everything else — removals, weight increases, authority changes under
-an authority-folded graph — falls back to a fresh build, or to what the
-oracle's ``partial_rebuild`` narrows it to (a sharded index on an unchanged
-shard plan rebuilds only the shards the delta touched).  A sharded
-engine keeps its shard plan across a delta that provably leaves it
-unchanged — skill and authority edits, reweights, and new edges inside
-one leaf region of the plan — and re-runs the partitioner otherwise.
+its ``apply``, skill-only edits reuse the index untouched, and an
+h-index raise under an authority-folded graph replays as weight
+decreases on the expert's edges (with frozen scales the fold is
+monotone in ``a' = 1/h``).  Everything else — removals, weight
+increases, an h-index cut under the fold — falls back to a fresh build,
+or to what the oracle's ``partial_rebuild`` narrows it to (a sharded
+index on an unchanged shard plan rebuilds only the shards the delta
+touched).  A sharded engine keeps its shard plan across a delta that
+provably leaves it unchanged — skill and authority edits, reweights,
+and new edges inside one leaf region of the plan — and re-runs the
+partitioner otherwise.
 :meth:`TeamFormationEngine.apply_updates` runs the same reconciliation
 eagerly and reports what happened per cached index.
 
@@ -620,7 +623,7 @@ class TeamFormationEngine:
         delta = self.network.mutations_since(stale_version)
         if delta is None:
             return None
-        steps, touched = self._plan_replay(delta, base)
+        steps, touched = self._plan_replay(delta, base, graph)
         rebuild = oracle.partial_rebuild(touched) if steps is None else None
         if steps is None and rebuild is None:
             return None
@@ -637,30 +640,43 @@ class TeamFormationEngine:
         return graph, oracle
 
     def _plan_replay(
-        self, delta: tuple[NetworkMutation, ...], base: tuple
+        self, delta: tuple[NetworkMutation, ...], base: tuple, graph: Graph
     ) -> tuple[list[tuple] | None, list[tuple] | None]:
         """Map a network delta onto ``(steps, touched)`` for ``base``.
 
-        ``steps`` are the oracle ``apply`` steps: new nodes, new edges
-        and derived weight decreases, with skill edits (and authority
-        edits off the fold) dropped.  They are ``None`` when a removal,
-        a derived weight increase or an authority edit under the fold
-        may grow a distance.  ``touched`` is what the oracle's
-        ``partial_rebuild`` may narrow a rebuild to: ``(u, v)`` per changed
-        edge and ``(expert,)`` per authority edit under the fold, or
-        ``None`` when a node was added or removed.
+        ``steps`` are the oracle ``apply`` steps: new nodes, then one
+        step per new or reweighted edge at its final derived weight.
+        Skill edits (and authority edits off the fold) drop out.  Under
+        the fold an authority edit reweights every edge of its expert,
+        and an edge whose derived weight did not move gets no step.
+        With frozen scales every operation of the fold is correctly
+        rounded, so monotone: a higher h-index never raises a folded
+        weight, and a raise replays as weight decreases.  ``steps`` are
+        ``None`` when a removal or a net derived weight increase (an
+        h-index cut, say) may grow a distance.  A derived weight is
+        judged against ``graph``, the stale entry's graph, which holds
+        the weights of the cached version; ``raw``'s graph is the live
+        one, so there the journal's ``old_weight`` is the reference.
+
+        ``touched`` is what the oracle's ``partial_rebuild`` may narrow
+        a rebuild to: ``(u, v)`` per changed edge and ``(expert,)`` per
+        authority edit under the fold, or ``None`` when a node was
+        added or removed.
         """
-        fold = base[1] == "fold"
+        flavor = base[1]
+        fold = flavor == "fold"
         steps: list[tuple] | None = []
         touched: list[tuple] | None = []
         # Reweighting chains are coalesced to one step per edge: only
-        # the chain's *final* weight matters, compared against the
-        # edge's weight at the cached version (the first record's
-        # ``old_weight``) — intermediate weights are never replayed, so
-        # a chain is incremental iff its net effect is an insertion or
-        # a decrease.
+        # the edge's *final* derived weight matters, compared against
+        # its weight at the cached version — intermediate weights are
+        # never replayed, so a chain is incremental iff its net effect
+        # is an insertion or a decrease.  ``edge_origin`` holds each
+        # written edge's raw weight at the cached version (the first
+        # record's ``old_weight``).
         edge_origin: dict[frozenset, float | None] = {}
         edge_final: dict[frozenset, tuple[str, str, float]] = {}
+        authority_edits: dict[str, None] = {}  # ordered set of experts
         for mutation in delta:
             op = mutation.op
             if op == "update_skills" or (op == "update_h_index" and not fold):
@@ -681,18 +697,30 @@ class TeamFormationEngine:
                 pair = frozenset((mutation.u, mutation.v))
                 edge_origin.setdefault(pair, mutation.old_weight)
                 edge_final[pair] = (mutation.u, mutation.v, mutation.weight)
-            else:  # a removal, or a fold authority edit reweighting every edge
+            elif op == "update_h_index":  # under the fold
+                authority_edits[mutation.expert_id] = None
+            else:  # a removal
                 steps = None
         if steps is None:
             return None, touched
+        live = self.network.graph
+        for expert in authority_edits:
+            for other, weight in live.neighbors(expert).items():
+                edge_final.setdefault(
+                    frozenset((expert, other)), (expert, other, weight)
+                )
         # Node additions first: an edge step may reference a new expert.
         for pair, (u, v, weight) in edge_final.items():
             new_w = self._derived_weight(base, u, v, weight)
-            origin = edge_origin[pair]
-            if origin is not None and new_w > self._derived_weight(
-                base, u, v, origin
-            ):
-                return None, touched  # net weight increase: distances may grow
+            if flavor == "raw":
+                origin = edge_origin[pair]
+            else:
+                origin = graph.weight(u, v) if graph.has_edge(u, v) else None
+            if origin is not None:
+                if new_w > origin:
+                    return None, touched  # net weight increase: distances may grow
+                if new_w == origin and pair not in edge_origin:
+                    continue  # an authority edit that left this edge alone
             steps.append(("edge", u, v, new_w))
         return steps, touched
 

@@ -262,8 +262,17 @@ class Graph:
         return sub
 
     def copy(self) -> "Graph":
-        """A deep structural copy (attribute dicts copied shallowly)."""
-        return self.subgraph(self.nodes())
+        """A deep structural copy (attribute dicts copied shallowly).
+
+        Every row is copied as it is, neighbor order included, so the
+        copy iterates (and breaks ties) exactly like this graph.  Use
+        :meth:`subgraph` for the canonical order of a one-by-one build.
+        """
+        out = Graph()
+        out._adj = {node: dict(row) for node, row in self._adj.items()}
+        out._node_data = {node: dict(data) for node, data in self._node_data.items()}
+        out._num_edges = self._num_edges
+        return out
 
     def reweighted(self, weight_fn) -> "Graph":
         """Return a copy whose edge ``{u, v}`` weighs ``weight_fn(u, v, w)``.

@@ -41,7 +41,7 @@ only touches those shards.  :meth:`ShardedPLLOracle.apply` replays
 insertions and weight decreases into each of them with the monolithic
 index's resumed pruned Dijkstras, one ``apply`` call per shard;
 :meth:`ShardedPLLOracle.partial_rebuild` rebuilds just the touched shards
-from a new graph (weight increases, removals, authority edits under a
+from a new graph (weight increases, removals, an h-index cut under a
 fold).  Either way the boundary summary is then recomputed once.  Both
 run on a :meth:`ShardedPLLOracle.clone`, which shares every shard with
 the original and replaces a shard only on its first write, so the
@@ -579,11 +579,11 @@ class ShardedPLLOracle:
         """Rebuild the named shards from this oracle's graph.
 
         For changes a 2-hop cover cannot absorb in place (weight
-        increases, removals, reweighted folds) on an unchanged plan:
-        each named shard gets a fresh PLL over its induced subgraph of
-        the current graph, the rest are kept, and the boundary summary
-        is recomputed.  Exact because a shard's subgraph is all its
-        labels depend on.
+        increases, removals, a fold re-weighed by an h-index cut) on an
+        unchanged plan: each named shard gets a fresh PLL over its
+        induced subgraph of the current graph, the rest are kept, and
+        the boundary summary is recomputed.  Exact because a shard's
+        subgraph is all its labels depend on.
         """
         shards = sorted(set(shards))
         for s in shards:

@@ -119,8 +119,9 @@ def _hint_incremental(records: list[ReplicationRecord]) -> bool:
     (:meth:`~repro.api.engine.TeamFormationEngine._plan_replay`)
     before touching anything, so a wrong hint costs a lazy
     reconciliation, never a wrong distance.  Conservative: an h-index
-    update is incremental off the authority fold but not under it, so
-    it hints ``False``.
+    raise is incremental everywhere but a cut is not under the
+    authority fold, and a record carries only the new h-index, so any
+    h-index update hints ``False``.
     """
     for record in records:
         mutation = record.mutation

@@ -166,18 +166,35 @@ def test_skill_update_reuses_index_untouched(network):
 
 
 def test_h_index_update_rebuilds_fold_but_not_cc(network):
+    """Under the fold a raise replays as weight decreases; a cut rebuilds."""
     engine = TeamFormationEngine(network)
     fold = TeamRequest(skills=PROJECT, solver="greedy", objective="sa-ca-cc")
     cc = TeamRequest(skills=PROJECT, solver="greedy", objective="cc")
     engine.solve(fold)
     engine.solve(cc)
+    incremental = obs.global_registry().counter("engine_oracle_incremental")
     with engine.mutate() as net:
         net.update_h_index("lappas", 200)
     before = pll_build_count()
     engine.solve(cc)
     assert pll_build_count() - before == 0  # cc ignores authority
+    upgrades = incremental.value
     engine.solve(fold)
-    assert pll_build_count() - before == 1  # the fold must re-weigh
+    assert pll_build_count() - before == 0  # lappas's edges only got lighter
+    assert incremental.value - upgrades == 1
+    assert_not_stale(engine, fold)
+    # A cut makes lappas's edges heavier (a new engine: the fresh one
+    # above holds the network's mutation guard now).
+    engine = TeamFormationEngine(network, scales=engine.scales)
+    engine.solve(fold)
+    engine.solve(cc)
+    with engine.mutate() as net:
+        net.update_h_index("lappas", 3)
+    before = pll_build_count()
+    engine.solve(cc)
+    assert pll_build_count() - before == 0
+    engine.solve(fold)
+    assert pll_build_count() - before == 1  # heavier edges: the fold re-weighs
     assert_not_stale(engine, fold)
 
 

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.api import TeamFormationEngine, TeamRequest
 from repro.expertise import Expert, ExpertNetwork
 from repro.graph.pll import pll_build_count
@@ -275,7 +276,7 @@ def test_snapshot_after_per_shard_updates_round_trips(tmp_path, k):
     with engine.mutate() as network:
         network.add_collaboration("a4", "a6", weight=1.0)  # decrease: absorbed
         network.add_collaboration("b1", "b3", weight=0.5)  # decrease: absorbed
-        network.update_h_index("a5", 64)  # fold: rebuilds a5's shards
+        network.update_h_index("a5", 1)  # fold: a cut rebuilds a5's shards
     before = pll_build_count()
     assert engine.apply_updates() == {"cached": 0, "incremental": 2, "rebuilt": 0}
     fold = engine.search_oracle("sa-ca-cc", 0.5)
@@ -286,6 +287,16 @@ def test_snapshot_after_per_shard_updates_round_trips(tmp_path, k):
     # Only the fold index rebuilds, and only the shards the burst touched.
     assert 1 <= pll_build_count() - before <= len(touched)
     assert fold.replaced_shards and engine.raw_oracle().replaced_shards
+    # A raise only lightens b4's one edge: replayed in place, no build.
+    updates = obs.global_registry().counter("shard_updates_incremental")
+    counted = updates.value
+    with engine.mutate() as network:
+        network.update_h_index("b4", 64)
+    before = pll_build_count()
+    assert engine.apply_updates() == {"cached": 0, "incremental": 2, "rebuilt": 0}
+    assert pll_build_count() == before
+    b3_b4 = set(plan.shards_of("b3")) & set(plan.shards_of("b4"))
+    assert updates.value - counted == len(b3_b4)
     expected = [engine.solve(request).canonical_json() for request in requests]
 
     path = engine.save_snapshot(tmp_path / "store")

@@ -213,6 +213,11 @@ def test_mutation_scripts_match_the_monolithic_engine(seed, k, bursts):
     for abstract in bursts:
         ops = [op for kind, pick in abstract for op in script.concrete(kind, pick)]
         before = indexes(sharded)
+        authority = {  # a' of each existing expert an h-index op edits
+            op[1]: sharded.network.inverse_authority(op[1])
+            for op in ops
+            if op[0] == "h_index" and sharded.network.graph.has_node(op[1])
+        }
         with mono.mutate() as network:
             apply(network, ops)
         with sharded.mutate() as network:
@@ -223,9 +228,15 @@ def test_mutation_scripts_match_the_monolithic_engine(seed, k, bursts):
         after = indexes(sharded)
         plan = before["fold"].plan
         if after["fold"].plan.plan_hash == plan.plan_hash:
-            # Insertions, halvings and skill edits: no shard is rebuilt.
-            absorbable = all(
-                op[0] == "skills" or (op[0] == "edge" and not op[4]) for op in ops
+            # Insertions, halvings, skill edits and h-index raises (the
+            # fold's weights only drop): no shard is rebuilt.
+            raised = all(
+                sharded.network.inverse_authority(node) <= was
+                for node, was in authority.items()
+            )
+            absorbable = raised and all(
+                op[0] in ("skills", "h_index") or (op[0] == "edge" and not op[4])
+                for op in ops
             )
             if absorbable:
                 assert builds == 0, ops
@@ -240,7 +251,115 @@ def test_mutation_scripts_match_the_monolithic_engine(seed, k, bursts):
                         assert oracle.shard_index(i) is before[flavor].shard_index(i)
         assert answers(sharded) == answers(mono), ops
         assert_same_distances(sharded, mono)
+        assert_matches_a_fresh_engine(sharded)
 
+
+
+# ----------------------------------------------------------------------
+# authority edits under the fold
+# ----------------------------------------------------------------------
+def assert_matches_a_fresh_engine(engine: TeamFormationEngine) -> None:
+    """Answers and every distance equal an engine built from scratch."""
+    network = engine.network
+    fresh = TeamFormationEngine(
+        network.subnetwork(network.expert_ids()), scales=SCALES, shards=engine.shards
+    )
+    assert answers(engine) == answers(fresh)
+    assert_same_distances(engine, fresh)
+
+
+def builds_to_absorb(engine: TeamFormationEngine, burst) -> int:
+    """PLL builds the upgrade after ``burst(network)`` makes."""
+    indexes(engine)
+    with engine.mutate() as network:
+        burst(network)
+    builds = pll_build_count()
+    engine.apply_updates()
+    return pll_build_count() - builds
+
+
+@pytest.mark.parametrize("shards", (None, 3))
+@pytest.mark.parametrize(
+    "chain, rebuilds",
+    [((64, 4), True), ((2, 16), False), ((64, 8), False)],
+    ids=["up-then-down", "down-then-up", "round-trip"],
+)
+def test_h_index_chain_is_judged_by_its_net_effect(shards, chain, rebuilds):
+    """Only the chain's net change of n1's h-index (8) decides the path."""
+    engine = TeamFormationEngine(Script(1).network(), scales=SCALES, shards=shards)
+
+    def burst(network):
+        for h_index in chain:
+            network.update_h_index("n1", h_index)
+
+    assert (builds_to_absorb(engine, burst) > 0) == rebuilds
+    assert_matches_a_fresh_engine(engine)
+
+
+@pytest.mark.parametrize("shards", (None, 3))
+@pytest.mark.parametrize(
+    "edge, exponent, rebuilds",
+    [(("n0", "n1"), 9, False), (("n1", "n2"), 35, True)],
+    ids=["halved", "doubled"],
+)
+def test_h_index_raise_with_a_reweight_of_the_experts_edge(
+    shards, edge, exponent, rebuilds
+):
+    """The raise and the raw reweight of one edge net out on its fold weight."""
+    engine = TeamFormationEngine(Script(1).network(), scales=SCALES, shards=shards)
+
+    def burst(network):
+        network.update_h_index("n1", 64)
+        network.add_collaboration(*edge, weight=2.0**-exponent)
+
+    assert (builds_to_absorb(engine, burst) > 0) == rebuilds
+    assert_matches_a_fresh_engine(engine)
+
+
+def test_h_index_raise_on_a_cut_vertex_updates_both_shards():
+    registry = obs.global_registry()
+    engine = TeamFormationEngine(Script(1).network(), scales=SCALES, shards=3)
+    plan = indexes(engine)["fold"].plan
+    assert len(plan.shards_of("n3")) == 2  # n3 joins the first two blocks
+    counts = [
+        registry.counter(f"shard_updates_{name}").value
+        for name in ("incremental", "rebuilt")
+    ]
+    assert builds_to_absorb(engine, lambda net: net.update_h_index("n3", 64)) == 0
+    held = [
+        set(plan.shards_of("n3")) & set(plan.shards_of(other))
+        for other in engine.network.graph.neighbors("n3")
+    ]
+    assert registry.counter("shard_updates_incremental").value - counts[0] == sum(
+        map(len, held)
+    )
+    assert registry.counter("shard_updates_rebuilt").value == counts[1]
+    assert indexes(engine)["fold"].replaced_shards == plan.shards_of("n3")
+    assert_matches_a_fresh_engine(engine)
+
+
+def test_h_index_raise_derives_no_search_graph(monkeypatch):
+    """A raise reweights the expert's edges on a copy: no fold is re-derived."""
+    registry = obs.global_registry()
+    engine = TeamFormationEngine(Script(1).network(), scales=SCALES, shards=3)
+    indexes(engine)
+    calls: list = []
+    real = engine_module.search_graph_for
+
+    def counting(*args):
+        calls.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(engine_module, "search_graph_for", counting)
+    rebuilt = registry.counter("shard_updates_rebuilt").value
+    assert builds_to_absorb(engine, lambda net: net.update_h_index("n5", 64)) == 0
+    assert calls == []
+    assert registry.counter("shard_updates_rebuilt").value == rebuilt
+    # A cut still derives the fold and rebuilds n5's shard.
+    assert builds_to_absorb(engine, lambda net: net.update_h_index("n5", 1)) == 1
+    assert calls == [("ca-cc", GAMMA)]
+    assert registry.counter("shard_updates_rebuilt").value == rebuilt + 1
+    assert_matches_a_fresh_engine(engine)
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +488,7 @@ def test_shard_updates_are_counted_and_traced():
     }
     with engine.mutate() as network:
         network.add_collaboration("n7", "n9", weight=2.0**-41)  # chord
-        network.update_h_index("n1", 64)  # fold: rebuild n1's shards
+        network.update_h_index("n1", 2)  # fold: a cut rebuilds n1's shards
     for i in range(plan.num_shards):
         registry.gauge(f"shard_label_bytes_{i}").set(-1)  # mark as unrefreshed
     with obs.trace("test") as root:
@@ -395,6 +514,21 @@ def test_shard_updates_are_counted_and_traced():
     for i in range(plan.num_shards):
         sizes = {new[f].label_bytes(i) for f in new if i in new[f].replaced_shards}
         assert registry.gauge(f"shard_label_bytes_{i}").value in (sizes or {-1})
+    # A raise only lightens n1's edges: the fold replays them in place,
+    # one update per (edge, shard holding it), and rebuilds nothing.
+    counts = {name: registry.counter(f"shard_updates_{name}").value for name in counts}
+    with engine.mutate() as network:
+        network.update_h_index("n1", 64)
+    assert engine.apply_updates()["incremental"] == 2
+    held = [
+        set(plan.shards_of("n1")) & set(plan.shards_of(other))
+        for other in engine.network.graph.neighbors("n1")
+    ]
+    assert registry.counter("shard_updates_incremental").value - counts[
+        "incremental"
+    ] == sum(map(len, held))
+    assert registry.counter("shard_updates_rebuilt").value == counts["rebuilt"]
+    assert indexes(engine)["fold"].replaced_shards == tuple(sorted(set().union(*held)))
 
 
 # ----------------------------------------------------------------------
