@@ -50,6 +50,21 @@ that alters the plan itself (a new node, an edge between two regions
 that removes a cut vertex) is outside this scheme: the caller builds a
 fresh oracle over the new plan.
 
+An ``apply`` keeps the memoized vectors warm when it leaves every
+written shard's boundary-pair distances bit-equal (always, for a shard
+with fewer than two boundary members): the summary and ``B`` are then
+unchanged too.  A source none of whose home shards was written keeps
+its local phase, ``d0`` and ``g``; only the written shards' cross phase
+can move, and among their columns only the interior ones — an interior
+node lives in one shard, while a boundary column takes from a written
+shard only ``g[b2] + local(b2, b)`` between two of its boundary members,
+which the check kept.  So such a vector is *carried* with its pending
+written shards, and its next read recomputes just those interior
+columns from ``g`` with the same IEEE adds as a cold build.  Vectors of
+sources inside a written shard are dropped; a summary change,
+:meth:`ShardedPLLOracle.rebuild_shards` and ``invalidate`` drop
+everything, and the dict path always clears.
+
 Queries memoize each source's full answer in a bounded FIFO memo.
 With numpy the answer is one read-only float64 vector over the graph's
 node order, built in the three phases of the formula above: the home
@@ -60,9 +75,12 @@ potential ``g = min_i(local(u, b_i) + B[i])`` is one min-plus over the
 ``g[b]`` relaxes its shard's columns with ``g[b] + local(b, .)``.  Every
 candidate is the same single IEEE add as in the stdlib path and ``min``
 is exact, so a ``distance_matrix`` row (one gather) is bit-identical to
-the ``{node: distance}`` dict that path builds.  The dict path is the
-kernel of installs without numpy, picked at construction as the PLL
-picks its own, and the reference the vector path is tested against.
+the ``{node: distance}`` dict that path builds.  The memo entry keeps
+``g`` and the build's query tallies beside the vector, so a carried
+vector can be patched after a write (see above) and tally what a cold
+build would.  The dict path is the kernel of installs without numpy,
+picked at construction as the PLL picks its own, and the reference the
+vector path is tested against.
 
 Determinism: shard subgraphs inherit the parent graph's insertion order,
 per-shard builds use the standard deterministic batch schedule, a
@@ -78,6 +96,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections.abc import Callable, Iterable
+from typing import Any, NamedTuple
 
 from .. import obs
 from .adjacency import Graph, GraphError, Node
@@ -101,6 +120,21 @@ __all__ = ["ShardedPLLOracle"]
 _INF = float("inf")
 
 
+class _VectorEntry(NamedTuple):
+    """One memoized source of the vector path."""
+
+    #: The source's read-only float64 distance vector.
+    vector: Any
+    #: The boundary potential ``g`` the cross phase read (``None``
+    #: without boundary nodes).
+    g: Any
+    #: The ``shard_queries_{local,cross}`` tallies a cold build makes.
+    local_hits: int
+    cross_hits: int
+    #: Bit mask of the source's home shards.
+    home: int
+
+
 class ShardedPLLOracle:
     """Drop-in :class:`~repro.graph.distance.DistanceOracle` over shards.
 
@@ -118,7 +152,8 @@ class ShardedPLLOracle:
     Every query reads the per-source memo: a float64 vector with numpy,
     a dict of finite distances without (see the module docstring).  The
     ``shard_source_cache_{hits,misses,evictions}`` counters tally it once
-    per query call.
+    per query call, and ``shard_source_cache_patched`` the misses served
+    by patching a vector carried across a write.
     """
 
     #: FIFO bound on memoized per-source answers (mirrors the per-source
@@ -173,7 +208,28 @@ class ShardedPLLOracle:
         changes ranks and this oracle refuses new nodes.
         """
         if self._use_numpy:
-            self._shard_cols = [self._cols_of(pll._order) for pll in self._shards]
+            count = self.plan.num_shards
+            self._shard_cols = [None] * count
+            self._shard_interior = [None] * count
+            for s in range(count):
+                self._index_columns(s)
+
+    def _index_columns(self, s: int) -> None:
+        """Shard ``s``'s column maps, from its PLL's landmark order.
+
+        ``_shard_cols[s]`` is the global column of each rank;
+        ``_shard_interior[s]`` the ``(ranks, columns)`` of the shard's
+        non-boundary nodes, which a carried vector's patch rewrites.
+        """
+        order = self._shards[s]._order
+        self._shard_cols[s] = cols = self._cols_of(order)
+        ranks = _np.array(
+            [i for i, node in enumerate(order) if node not in self._bindex],
+            dtype=_np.intp,
+        )
+        interior = cols[ranks]
+        ranks.flags.writeable = interior.flags.writeable = False
+        self._shard_interior[s] = (ranks, interior)
 
     def _cols_of(self, nodes: Iterable[Node]):
         """Global columns of ``nodes`` as a read-only ``intp`` array."""
@@ -192,9 +248,14 @@ class ShardedPLLOracle:
         return pll
 
     def _init_instruments(self) -> None:
-        #: Per-source memo: read-only float64 vectors (numpy) or
+        #: Per-source memo: :class:`_VectorEntry` (numpy) or
         #: ``{node: distance}`` dicts of the finite entries (stdlib).
         self._source_cache: dict = {}
+        #: Vectors carried across writes: ``source -> (entry, pending)``,
+        #: ``pending`` the bit mask of shards written since ``entry`` was
+        #: built, never one of its home shards.  Replaced, never edited,
+        #: except for the pop of a read that patches the entry.
+        self._carried: dict[Node, tuple[_VectorEntry, int]] = {}
         #: Shards this copy replaced since it was cloned (copy-on-write).
         self._owned: set[int] = set()
         registry = obs.global_registry()
@@ -203,6 +264,7 @@ class ShardedPLLOracle:
         self._hits_counter = registry.counter("shard_source_cache_hits")
         self._misses_counter = registry.counter("shard_source_cache_misses")
         self._evictions_counter = registry.counter("shard_source_cache_evictions")
+        self._patched_counter = registry.counter("shard_source_cache_patched")
 
     def _publish_label_bytes(self, shards: Iterable[int]) -> None:
         registry = obs.global_registry()
@@ -217,7 +279,9 @@ class ShardedPLLOracle:
 
         Summary edges are shard-local distances between boundary pairs
         co-resident in a shard (minimum over shards).  Dijkstra from each
-        boundary node then gives exact global distances ``B``.
+        boundary node then gives exact global distances ``B``.  Each
+        shard's pair distances are kept in ``_boundary_pairs`` for the
+        carry check of :meth:`apply`.
         """
         start = time.perf_counter()
         boundary = self.plan.boundary
@@ -225,10 +289,10 @@ class ShardedPLLOracle:
         adj: list[dict[int, float]] = [{} for _ in range(nb)]
         edge_count = 0
         with obs.span("shard.boundary_summary", boundary=nb) as span:
-            for s, members in enumerate(self._shard_boundary):
-                if len(members) < 2:
-                    continue
-                pairs = all_pairs_distances(self._shards[s], members, members)
+            self._boundary_pairs = [
+                self._local_pairs(s) for s in range(len(self._shards))
+            ]
+            for pairs in self._boundary_pairs:
                 for (b1, b2), d in pairs.items():
                     if b1 == b2 or d == _INF:
                         continue
@@ -249,6 +313,14 @@ class ShardedPLLOracle:
         registry = obs.global_registry()
         registry.counter("shard_boundary_summary_builds").inc()
         registry.counter("shard_boundary_summary_seconds").inc(elapsed)
+
+    def _local_pairs(self, s: int) -> dict:
+        """Shard ``s``'s ``{(b1, b2): local distance}`` over its boundary
+        members; empty below two members, which feed no summary edge."""
+        members = self._shard_boundary[s]
+        if len(members) < 2:
+            return {}
+        return all_pairs_distances(self._shards[s], members, members)
 
     def _apsp(self) -> None:
         """Exact boundary-to-boundary distances.
@@ -289,32 +361,43 @@ class ShardedPLLOracle:
     def _memo(self, sources: Iterable[Node]) -> list:
         """Each source's memoized full answer: a vector or a dict.
 
-        Fills the FIFO memo for cold sources and lands one hit / miss /
-        eviction tally per call (not per source) in the
-        ``shard_source_cache_*`` counters.
+        Fills the FIFO memo for cold sources, patching a carried vector
+        where there is one, and lands one hit / miss / eviction / patch
+        tally per call (not per source) in the ``shard_source_cache_*``
+        counters; a patched source counts as a miss too.
         """
         cache = self._source_cache
-        full = self._vector if self._use_numpy else self._full_map
+        use_numpy = self._use_numpy
+        full = self._vector if use_numpy else self._full_map
         out = []
-        misses = evictions = 0
+        misses = patched = evictions = 0
         for source in sources:
             entry = cache.get(source)
             if entry is None:
                 self._require_node(source)
-                entry = full(source)
+                # The patched copy supersedes the carried entry; a racing
+                # miss on the same source that loses the pop builds cold.
+                carried = self._carried.pop(source, None)
+                if carried is None:
+                    entry = full(source)
+                else:
+                    entry = self._patch(*carried)
+                    patched += 1
                 misses += 1
                 evictions += evict_for_insert(cache, self.MAX_CACHED_SOURCES)
                 cache[source] = entry
-            out.append(entry)
+            out.append(entry.vector if use_numpy else entry)
         if len(out) > misses:
             self._hits_counter.inc(len(out) - misses)
         if misses:
             self._misses_counter.inc(misses)
+        if patched:
+            self._patched_counter.inc(patched)
         if evictions:
             self._evictions_counter.inc(evictions)
         return out
 
-    def _vector(self, source: Node):
+    def _vector(self, source: Node) -> _VectorEntry:
         """``source``'s global distance vector (read-only float64).
 
         The same three phases as :meth:`_full_map`, on arrays over the
@@ -323,14 +406,17 @@ class ShardedPLLOracle:
         dict path's (``inf`` where that one has no entry).
         """
         out = _np.full(len(self._col), _INF)
+        home = 0
         # Local phase: scatter each home shard's vector into its columns.
         for s in self.plan.shards_of(source):
+            home |= 1 << s
             cols = self._shard_cols[s]
             out[cols] = _np.minimum(
                 out[cols], self._shards[s].distance_vector(source)
             )
         local_hits = int(_np.count_nonzero(out < _INF))
         cross_hits = 0
+        g = None
         if len(self._boundary_cols):
             # Boundary potential: g[j] = min_i local(source, b_i) + B[i][j].
             d0 = out[self._boundary_cols]
@@ -356,7 +442,44 @@ class ShardedPLLOracle:
         self._local_counter.inc(local_hits)
         self._cross_counter.inc(cross_hits)
         out.flags.writeable = False
-        return out
+        return _VectorEntry(out, g, local_hits, cross_hits, home)
+
+    def _patch(self, entry: _VectorEntry, pending: int) -> _VectorEntry:
+        """``entry`` brought past writes to the ``pending`` shards.
+
+        Exact when no pending shard is a home shard of the source and
+        every write kept the boundary summary (see the module
+        docstring): each pending shard's interior columns are rebuilt as
+        ``_vector``'s cross phase would, ``min`` over its boundary
+        members ``b`` of ``g[b] + local(b, .)``, and the rest is kept.
+        The query tallies are a cold build's: the local phase is
+        unchanged, and a rewritten interior column counts as a cross hit
+        exactly when it is finite.
+        """
+        vector = entry.vector
+        cross_hits = entry.cross_hits
+        if pending:
+            vector = vector.copy()
+            for s in range(self.plan.num_shards):
+                members = self._shard_boundary[s]
+                if not pending >> s & 1 or not members:
+                    continue
+                ranks, cols = self._shard_interior[s]
+                current = _np.full(len(cols), _INF)
+                for b2 in members:
+                    base = entry.g[self._bindex[b2]]
+                    if base == _INF:
+                        continue
+                    cand = base + self._shards[s].distance_vector(b2)[ranks]
+                    _np.minimum(current, cand, out=current)
+                cross_hits += int(_np.count_nonzero(current < _INF)) - int(
+                    _np.count_nonzero(vector[cols] < _INF)
+                )
+                vector[cols] = current
+            vector.flags.writeable = False
+        self._local_counter.inc(entry.local_hits)
+        self._cross_counter.inc(cross_hits)
+        return entry._replace(vector=vector, cross_hits=cross_hits)
 
     def _full_map(self, source: Node) -> dict[Node, float]:
         """``source``'s global distance dict (finite entries only).
@@ -486,7 +609,9 @@ class ShardedPLLOracle:
         :meth:`rebuild_shards` replace a shard on the copy the first
         time they write to it, and recompute the summary into fresh
         objects.  The original is never mutated, so a solve still
-        holding it keeps its answers.  No PLL is built.
+        holding it keeps its answers.  No PLL is built.  The original's
+        memoized and carried vectors become the copy's carried ones,
+        for :meth:`apply` to keep or drop.
         """
         if set(graph.nodes()) != self._node_set:
             raise GraphError("a sharded clone must keep the plan's node set")
@@ -503,11 +628,38 @@ class ShardedPLLOracle:
             index._col = self._col
             index._boundary_cols = self._boundary_cols
             index._shard_cols = list(self._shard_cols)
+            index._shard_interior = list(self._shard_interior)
             index._B_array = self._B_array
         index._summary_adj = self._summary_adj
         index._B = self._B
+        index._boundary_pairs = self._boundary_pairs
         index._init_instruments()
+        if self._use_numpy:
+            index._carried = self._carried_after(0)
         return index
+
+    def _carried_after(self, written: int) -> dict:
+        """The carry after a write to the ``written`` shard mask.
+
+        Every carried entry and every memoized vector, pending the
+        written shards on top of what it already had, except those of
+        sources homed in a pending shard; the newest
+        ``MAX_CACHED_SOURCES`` are kept.  Reads the memo and the carry
+        through one ``dict.copy()`` each (atomic under the GIL), since a
+        solve may still be filling them.
+        """
+        carried = {
+            source: (entry, pending | written)
+            for source, (entry, pending) in self._carried.copy().items()
+            if not entry.home & (pending | written)
+        }
+        for source, entry in self._source_cache.copy().items():
+            if not entry.home & written:
+                carried[source] = (entry, written)
+        excess = len(carried) - self.MAX_CACHED_SOURCES
+        if excess > 0:
+            carried = dict(list(carried.items())[excess:])
+        return carried
 
     @property
     def replaced_shards(self) -> tuple[int, ...]:
@@ -524,10 +676,13 @@ class ShardedPLLOracle:
 
         Each step (an insertion or a weight decrease) goes, in order, to
         every shard holding both endpoints, copied first if still
-        shared; the boundary summary is then rebuilt and the memo
-        cleared once.  A ``("node", n)`` step or an edge that no shard
-        holds changes the plan: it raises :class:`GraphError` before
-        anything is written.
+        shared; the boundary summary is then rebuilt once.  When every
+        written shard kept its boundary-pair distances, the memoized
+        vectors of sources homed outside the written shards are carried
+        (patched on their next read) and the rest dropped; otherwise the
+        whole memo is dropped.  A ``("node", n)`` step or an edge that
+        no shard holds changes the plan: it raises :class:`GraphError`
+        before anything is written.
         """
         steps = list(steps)
         per_shard: dict[int, list[tuple]] = {}
@@ -542,7 +697,9 @@ class ShardedPLLOracle:
         for _, u, v, weight in steps:
             self._graph.add_edge(u, v, weight=weight)
         updates = sum(map(len, per_shard.values()))  # one per (step, shard)
-        self._after_update(list(per_shard), "shard_updates_incremental", updates)
+        self._after_update(
+            list(per_shard), "shard_updates_incremental", updates, carry=True
+        )
 
     def insert_edge(self, u: Node, v: Node, weight: float) -> None:
         """Absorb a new edge ``{u, v}`` (or a weight decrease) per shard."""
@@ -583,15 +740,16 @@ class ShardedPLLOracle:
         unchanged plan: each named shard gets a fresh PLL over its
         induced subgraph of the current graph, the rest are kept, and
         the boundary summary is recomputed.  Exact because a shard's
-        subgraph is all its labels depend on.
+        subgraph is all its labels depend on.  The memo is dropped,
+        carried vectors included.
         """
         shards = sorted(set(shards))
         for s in shards:
             self._shards[s] = self._build_shard(s)
             if self._use_numpy:
-                self._shard_cols[s] = self._cols_of(self._shards[s]._order)
+                self._index_columns(s)  # a rebuild can reorder ranks
             self._owned.add(s)
-        self._after_update(shards, "shard_updates_rebuilt", len(shards))
+        self._after_update(shards, "shard_updates_rebuilt", len(shards), carry=False)
 
     def _writable(self, s: int) -> PrunedLandmarkLabeling:
         """Shard ``s``'s PLL, copied first if still shared with the original."""
@@ -602,17 +760,27 @@ class ShardedPLLOracle:
             self._owned.add(s)
         return self._shards[s]
 
-    def _after_update(self, shards: list[int], counter: str, updates: int) -> None:
+    def _after_update(
+        self, shards: list[int], counter: str, updates: int, *, carry: bool
+    ) -> None:
         """Recompute what depends on the updated ``shards``.
 
-        Also stamps how many shards this copy has replaced, as
-        ``shards``, on the enclosing span (the engine's
+        The memo is carried past the update when ``carry`` is set and
+        every updated shard kept its boundary-pair distances bit-equal,
+        and dropped otherwise.  Also stamps how many shards this copy
+        has replaced, as ``shards``, on the enclosing span (the engine's
         ``engine.journal_replay``).
         """
+        before = self._boundary_pairs
         if any(len(self._shard_boundary[s]) >= 2 for s in shards):
             # Only shards with two or more boundary nodes feed the summary.
             self._build_boundary_summary()
-        self._source_cache.clear()
+        kept = carry and self._use_numpy and all(
+            self._boundary_pairs[s] == before[s] for s in shards
+        )
+        written = sum(1 << s for s in shards)
+        self._carried = self._carried_after(written) if kept else {}
+        self._source_cache = {}
         self._publish_label_bytes(shards)
         obs.global_registry().counter(counter).inc(updates)
         span = obs.current_span()
@@ -620,8 +788,9 @@ class ShardedPLLOracle:
             span.set_attribute("shards", len(self._owned))
 
     def invalidate(self) -> None:
-        """Drop memoized query state (labels stay valid)."""
+        """Drop memoized query state, carried vectors too (labels stay valid)."""
         self._source_cache.clear()
+        self._carried = {}
         for pll in self._shards:
             pll.invalidate()
 
@@ -719,6 +888,7 @@ class ShardedPLLOracle:
             raise GraphError(f"malformed boundary summary ({exc})") from None
         self._summary_adj = adj
         self._apsp()
+        self._boundary_pairs = [self._local_pairs(s) for s in range(len(states))]
         self._init_instruments()
         self._publish_label_bytes(range(plan.num_shards))
         return self

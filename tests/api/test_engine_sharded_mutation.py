@@ -19,6 +19,7 @@ floating point.
 
 from __future__ import annotations
 
+import asyncio
 import random
 import sys
 import threading
@@ -33,6 +34,8 @@ from repro.api import TeamFormationEngine, TeamRequest
 from repro.core import ObjectiveScales
 from repro.expertise import Expert, ExpertNetwork
 from repro.graph.pll import pll_build_count
+from repro.graph.pll_kernel import numpy_available
+from repro.serving.server import TeamServer, fixed_engine_loader
 
 #: Three 4-cycles chained at the cut vertices n3 and n6, plus a pendant
 #: component p0-p1.  Chords stay inside a block (so inside a shard);
@@ -465,6 +468,45 @@ def test_shard_plan_memo_misses_are_counted():
     text = obs.render_prometheus(registry.snapshot())
     for name in names:
         assert f"# TYPE repro_{name} counter" in text
+
+
+def test_in_shard_burst_patches_the_next_reads(tmp_path):
+    """Reads after an in-shard burst patch carried vectors, not rebuild them."""
+    registry = obs.global_registry()
+    names = ("shard_source_cache_patched", "shard_source_cache_misses")
+    script = Script(4)
+    mono = TeamFormationEngine(script.network(), scales=SCALES)
+    engine = TeamFormationEngine(script.network(), scales=SCALES, shards=4)
+    assert answers(engine) == answers(mono)
+    assert_same_distances(engine, mono)  # memoize every source
+    # n0-n2 is a chord of the first block, whose shard holds one cut
+    # vertex (n3): no boundary-pair distance can move.
+    ops = script.concrete("chord", 0)
+    assert ops[0][1:3] == ("n0", "n2")
+    for each in (mono, engine):
+        with each.mutate() as network:
+            apply(network, ops)
+    start = [registry.counter(name).value for name in names]
+    assert answers(engine) == answers(mono)
+    patched, misses = (
+        registry.counter(name).value - was for name, was in zip(names, start)
+    )
+    if numpy_available():
+        assert 0 < patched <= misses
+    else:
+        assert patched == 0  # the dict memo is always rebuilt
+    # The metrics op exposes the counter.
+    metrics = asyncio.run(TeamServer(fixed_engine_loader(engine)).handle_op("metrics"))
+    value = registry.counter(names[0]).value
+    assert f"repro_shard_source_cache_patched {value}" in metrics["text"]
+    assert_same_distances(engine, mono)
+    assert_matches_a_fresh_engine(engine)
+
+    path = engine.save_snapshot(tmp_path / "store")
+    builds = pll_build_count()
+    loaded = TeamFormationEngine.from_snapshot(path)
+    assert answers(loaded) == answers(mono)
+    assert pll_build_count() == builds, "restore must not build any PLL"
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 import contextlib
 import math
 import random
+import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -22,7 +24,7 @@ from repro import obs
 from repro.graph import Graph, GraphError
 from repro.graph.distance import DijkstraOracle, DistanceOracle
 from repro.graph.partition import plan_shards
-from repro.graph.pll import PrunedLandmarkLabeling, pll_build_count
+from repro.graph.pll import PrunedLandmarkLabeling, all_pairs_distances, pll_build_count
 from repro.graph.pll_kernel import numpy_available
 from repro.graph.sharded_oracle import ShardedPLLOracle
 from repro.obs import render_prometheus
@@ -533,3 +535,201 @@ def test_sharded_oracle_satisfies_the_protocol():
     assert oracle.partial_rebuild(None) is None  # a new node changes the plan
     with pytest.raises(GraphError):
         oracle.clone(g.copy()).apply([("node", "z")])
+
+
+# ----------------------------------------------------------------------
+# vectors carried across a write, patched on their next read
+# ----------------------------------------------------------------------
+PATCHED = "shard_source_cache_patched"
+
+
+def boundary_pairs(oracle: ShardedPLLOracle) -> list[dict]:
+    """Each shard's local distances between its boundary members."""
+    boundary = set(oracle.plan.boundary)
+    out = []
+    for s, shard in enumerate(oracle.plan.shards):
+        members = [node for node in shard if node in boundary]
+        out.append(all_pairs_distances(oracle.shard_index(s), members, members))
+    return out
+
+
+def assert_memo_matches_a_cold_build(oracle: ShardedPLLOracle) -> None:
+    """Every memoized vector, patched or not, is a cold build's, tallies too."""
+    for source, entry in list(oracle._source_cache.items()):
+        cold = oracle._vector(source)
+        assert entry.vector.tobytes() == cold.vector.tobytes(), source
+        assert (entry.local_hits, entry.cross_hits) == (
+            cold.local_hits,
+            cold.cross_hits,
+        ), source
+
+
+def in_shard_step(rng: random.Random, oracle: ShardedPLLOracle, g: Graph) -> tuple:
+    """An insertion or a halving inside one shard of ``oracle``'s plan."""
+    shard = rng.choice([s for s in oracle.plan.shards if len(s) >= 2])
+    u, v = rng.sample(list(shard), 2)
+    w = g.weight(u, v) / 2 if g.has_edge(u, v) else rng.randint(1, 64) / 64.0
+    return ("edge", u, v, w)
+
+
+@needs_numpy
+def test_patched_vectors_equal_a_cold_build():
+    """Differential: carried vectors, patched on read, against ``_vector``.
+
+    Bursts of in-shard insertions and halvings, applied one step per
+    ``insert_edge`` (so a clone folds several applies into its carry),
+    with and without reads between bursts (so carries span several
+    clones); some bursts end in a shard rebuild or an ``invalidate``.
+    A burst that moves a written shard's boundary-pair distance, a
+    rebuild and an ``invalidate`` must leave nothing to patch.
+    """
+    patched = obs.global_registry().counter(PATCHED)
+    start = patched.value
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        blocks=st.integers(2, 6),
+        k=st.sampled_from([2, 4]),
+        bursts=st.lists(
+            st.tuples(
+                st.sampled_from(["apply", "apply", "rebuild", "invalidate"]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def run(seed, blocks, k, bursts):
+        rng = random.Random(seed)
+        g = federated_graph(rng, blocks)
+        nodes = list(g.nodes())
+        oracle = ShardedPLLOracle(g, shards=k)
+        oracle.distance_matrix(nodes, nodes)
+        for kind, read in bursts:
+            g = g.copy()
+            oracle = oracle.clone(g)
+            pairs = boundary_pairs(oracle)
+            written = set()
+            for _ in range(rng.randint(1, 3)):
+                _, u, v, w = in_shard_step(rng, oracle, g)
+                written |= set(oracle.plan.shards_of(u)) & set(oracle.plan.shards_of(v))
+                oracle.insert_edge(u, v, w)
+            kept = all(boundary_pairs(oracle)[s] == pairs[s] for s in written)
+            if kind == "rebuild":
+                oracle.rebuild_shards([rng.randrange(k)])
+            elif kind == "invalidate":
+                oracle.invalidate()
+            if not read:
+                continue
+            before = patched.value
+            oracle.distance_matrix(rng.sample(nodes, len(nodes) // 2), nodes)
+            if kind != "apply" or not kept:
+                assert patched.value == before, (kind, kept)
+            assert_memo_matches_a_cold_build(oracle)
+        oracle.distance_matrix(nodes, nodes)
+        assert_memo_matches_a_cold_build(oracle)
+        assert_exact(oracle, g)
+
+    run()
+    assert patched.value > start, "no vector was patched"
+
+
+def test_boundary_pair_change_drops_the_carry():
+    # Three blocks chained at m and n; the middle shard holds both.
+    g = Graph.from_edges(
+        [
+            ("a0", "a1", 0.5), ("a1", "m", 0.25), ("m", "a0", 1.0),
+            ("m", "c0", 2.0), ("c0", "n", 2.0), ("n", "c1", 1.0), ("c1", "m", 4.0),
+            ("n", "b0", 0.5), ("b0", "b1", 0.25), ("b1", "n", 1.0),
+        ]
+    )
+    sharded = ShardedPLLOracle(g, shards=3)
+    nodes = list(g.nodes())
+    for source in nodes:
+        sharded.distances_from(source, nodes)
+    counters = (PATCHED, "shard_source_cache_misses")
+
+    def reads_after(u: str, v: str, w: float) -> list[float]:
+        g2 = g.copy()
+        updated = sharded.clone(g2)
+        updated.insert_edge(u, v, w)
+        g2.add_edge(u, v, weight=w)
+        before = _counter_values(*counters)
+        for source in nodes:
+            updated.distances_from(source, nodes)
+        assert_exact(updated, g2)
+        return [a - b for a, b in zip(_counter_values(*counters), before)]
+
+    # m-n drops from 4 to 0.5 inside the middle shard: nothing is carried.
+    assert reads_after("m", "n", 0.5) == [0, len(nodes)]
+    # A chord behind one cut vertex: every source outside its shard patches.
+    patched, misses = reads_after("b0", "n", 0.125)
+    assert misses == len(nodes)
+    b_shard = sharded.plan.home_shard("b0")
+    outside = [n for n in nodes if b_shard not in sharded.plan.shards_of(n)]
+    assert patched == (len(outside) if sharded._use_numpy else 0)
+
+
+@needs_numpy
+def test_carry_keeps_the_newest_vectors(monkeypatch):
+    monkeypatch.setattr(ShardedPLLOracle, "MAX_CACHED_SOURCES", 2)
+    g = two_block_graph()
+    sharded = ShardedPLLOracle(g, shards=2)
+    for source in ("a0", "a1", "a2"):  # a0 is evicted
+        sharded.distance(source, "m")
+    clone = sharded.clone(g.copy())
+    assert list(clone._carried) == ["a1", "a2"]
+    for source in ("b0", "b1"):  # memoized on the clone, newer than its carry
+        clone.distance(source, "m")
+    assert list(clone.clone(g.copy())._carried) == ["b0", "b1"]
+
+
+@pytest.mark.parametrize("hide_numpy", [False, True], ids=["vector", "dict"])
+def test_clone_while_other_threads_fill_the_memo(hide_numpy):
+    """A clone snapshots the memo and the carry that solves are still filling."""
+    if not hide_numpy and not numpy_available():
+        pytest.skip("the vector memo needs numpy")
+    rng = random.Random(5)
+    g = federated_graph(rng, 6)
+    nodes = list(g.nodes())
+    with numpy_hidden() if hide_numpy else contextlib.nullcontext():
+        base = ShardedPLLOracle(g, shards=4)
+    for source in nodes:
+        base.distances_from(source, nodes)
+    g = g.copy()
+    parent = base.clone(g)  # a parent with carried vectors to pop
+    parent.insert_edge(*in_shard_step(rng, parent, g)[1:])
+    done = threading.Event()
+    errors: list[BaseException] = []
+
+    def reader() -> None:
+        try:
+            while not done.is_set():
+                for source in nodes:  # the memo grows: a clone mid-fill
+                    parent.distances_from(source, nodes)  # sees it resize
+                parent.invalidate()
+        except BaseException as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=reader, daemon=True) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    try:
+        for _ in range(20):
+            step = in_shard_step(rng, parent, g)
+            target = g.copy()
+            for _ in range(200):  # many snapshots, so some land mid-fill
+                clone = parent.clone(target)
+            clone.apply([step])
+            target.add_edge(*step[1:3], weight=step[3])
+            assert_exact(clone, target)
+    finally:
+        done.set()
+        for thread in threads:
+            thread.join(timeout=60)
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads), "reader hung"
+    assert not errors, errors
+    assert_exact(parent, g)
