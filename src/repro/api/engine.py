@@ -87,10 +87,8 @@ from ..core.transform import transformed_edge_weight
 from ..expertise.network import ExpertNetwork, NetworkMutation
 from ..expertise.serialize import expert_from_dict, mutation_from_dict
 from ..graph.adjacency import Graph, GraphError
-from ..graph.distance import DistanceOracle, build_oracle
+from ..graph.distance import DistanceOracle, build_oracle, restore_oracle
 from ..graph.partition import ShardPlan, plan_shards
-from ..graph.pll import PrunedLandmarkLabeling
-from ..graph.sharded_oracle import ShardedPLLOracle
 from .. import obs
 from ..storage.codec import (
     EngineSnapshotState,
@@ -99,7 +97,6 @@ from ..storage.codec import (
     encode_engine_snapshot,
     strip_shard_tag,
 )
-from ..storage.delta import FRAME_DELTA, iter_frames
 from ..storage.errors import (
     CorruptDeltaError,
     CorruptSnapshotError,
@@ -410,8 +407,8 @@ class TeamFormationEngine:
     # ------------------------------------------------------------------
     # sharding
     # ------------------------------------------------------------------
-    def _shard_plan(self) -> ShardPlan:
-        """The (memoized) shard plan for the current network version.
+    def _shard_plan(self, network: ExpertNetwork | None = None) -> ShardPlan:
+        """The (memoized) shard plan for ``network``'s version.
 
         Computed from the raw collaboration graph's topology; the cc and
         fold search graphs are pure reweightings of it, so one plan is
@@ -423,9 +420,14 @@ class TeamFormationEngine:
         existing edges, and new edges inside one leaf region of that
         plan); otherwise it re-plans.  Each miss ticks
         ``engine_shard_plans_reused`` or ``engine_shard_plans_computed``;
-        memo hits, the read path, count nothing.
+        memo hits, the read path, count nothing.  ``network`` defaults to
+        the engine's; a snapshot restore passes the snapshot's network,
+        so the plan its entries were tagged with is memoized at the
+        snapshot's version.
         """
-        version = self._network.version
+        if network is None:
+            network = self._network
+        version = network.version
         with self._mutex:
             plan = self._shard_plans.get(version)
             prev_version = max(
@@ -435,12 +437,12 @@ class TeamFormationEngine:
         if plan is not None:
             return plan
         if prev_plan is not None and _keeps_plan(
-            self._network.mutations_since(prev_version), prev_plan
+            network.mutations_since(prev_version), prev_plan
         ):
             plan = prev_plan
             outcome = "reused"
         else:
-            plan = plan_shards(self._network.graph, self.shards)
+            plan = plan_shards(network.graph, self.shards)
             outcome = "computed"
         obs.global_registry().counter(f"engine_shard_plans_{outcome}").inc()
         with self._mutex:
@@ -852,30 +854,17 @@ class TeamFormationEngine:
             )
         for cache_name, cache in caches:
             for key, (_graph, oracle) in cache.items():
-                if key[-1] != version:
-                    continue
-                if isinstance(oracle, ShardedPLLOracle):
-                    shard_labels, boundary = oracle.export_state()
+                # A 2-hop cover exports its labels; a Dijkstra oracle holds
+                # nothing worth the bytes.
+                if key[0] == "pll" and key[-1] == version:
                     entries.append(
                         OracleEntryState(
                             cache=cache_name,
                             base=key[:-1],
                             version=version,
-                            shard_labels=tuple(shard_labels),
-                            boundary=boundary,
+                            labels=oracle.export_state(),
                         )
                     )
-                    continue
-                if not isinstance(oracle, PrunedLandmarkLabeling):
-                    continue
-                entries.append(
-                    OracleEntryState(
-                        cache=cache_name,
-                        base=key[:-1],
-                        version=version,
-                        labels=oracle.export_flat_labels(),
-                    )
-                )
         return encode_engine_snapshot(
             EngineSnapshotState(
                 network=self.network,
@@ -1050,6 +1039,10 @@ class TeamFormationEngine:
             max_cached_finders=max_cached_finders,
             shards=state.shards,
         )
+        # One plan for every sharded entry, memoized at the snapshot's
+        # version: the entries' tags carry its hash, and the first reads
+        # find it there.
+        plan = engine._shard_plan(snapshot_net) if state.shards is not None else None
         for entry in state.entries:
             cache = (
                 engine._search_cache
@@ -1058,29 +1051,16 @@ class TeamFormationEngine:
             )
             if len(cache) >= engine._max_cached_oracles:
                 continue
+            shard_plan = None
+            if entry.base is not strip_shard_tag(entry.base):
+                if plan is None or entry.base[-1][2] != plan.plan_hash:
+                    continue  # another plan's labels: no read would reach them
+                shard_plan = plan
             graph = engine._derive_graph(entry.base, snapshot_net)
-            if entry.shard_labels is not None:
-                # Sharded entry: the plan is recomputed deterministically
-                # from the derived graph (only labels and the boundary
-                # summary are persisted), so the restore involves zero
-                # PLL builds and zero partitioner divergence.
-                try:
-                    plan = plan_shards(graph, len(entry.shard_labels))
-                    oracle: DistanceOracle = ShardedPLLOracle.from_state(
-                        graph, plan, entry.shard_labels, entry.boundary or {}
-                    )
-                except GraphError as exc:
-                    raise CorruptSnapshotError(
-                        f"oracle entry {entry.base!r}: {exc}"
-                    ) from None
-                cache[(*entry.base, entry.version)] = (graph, oracle)
-                continue
             try:
                 # Flat snapshot columns are adopted as the live query
-                # representation — no per-entry inflation.
-                oracle = PrunedLandmarkLabeling.from_flat_labels(
-                    graph, entry.labels
-                )
+                # representation — no per-entry inflation, no build.
+                oracle = restore_oracle(graph, entry.labels, shard_plan=shard_plan)
             except GraphError as exc:
                 raise CorruptSnapshotError(
                     f"oracle entry {entry.base!r}: {exc}"
@@ -1092,71 +1072,29 @@ class TeamFormationEngine:
     # replication: consuming a primary's delta stream
     # (see repro.serving.replication for the primary side)
     # ------------------------------------------------------------------
-    def apply_delta_stream(self, data: bytes) -> dict:
-        """Advance this engine by replaying a replication delta stream.
-
-        ``data`` is a concatenation of delta frames
-        (:mod:`repro.storage.delta`); every frame is CRC-verified before
-        any of it is interpreted.  Each frame's enriched journal records
-        are applied through :meth:`mutate` — the same write-locked path
-        local mutations take — so the follower's network version, journal
-        and state advance exactly as the primary's did, and the cached
-        2-hop-cover indexes reconcile through the ordinary version-keyed
-        incremental path (eagerly, via :meth:`apply_updates`, when the
-        primary's hints say the whole delta is incrementally
-        applicable; lazily on first touch otherwise).
-
-        Replay is idempotent (frames at or below the current version are
-        skipped whole) and gap-checked: a stream starting *past* the
-        current version raises
-        :class:`~repro.storage.errors.JournalTruncatedError` — the typed
-        signal to fall back to a full snapshot transfer.  A record that
-        contradicts the follower's own journal (same version, different
-        mutation) raises
-        :class:`~repro.storage.errors.StaleSnapshotError`: the two sides
-        belong to different mutation lineages and no delta can reconcile
-        them.  A snapshot frame raises ``ValueError`` — a full-state
-        transfer replaces the engine, which an engine cannot do to
-        itself; route mixed streams through
-        :class:`repro.serving.replication.ReplicaFollower`.
-
-        Returns ``{"frames", "applied", "skipped", "reconciled"}`` where
-        ``reconciled`` is the :meth:`apply_updates` report when the
-        eager path ran, else ``None``.
-        """
-        report: dict = {"frames": 0, "applied": 0, "skipped": 0}
-        hints_incremental = True
-        for kind, payload in iter_frames(data):
-            if kind != FRAME_DELTA:
-                raise ValueError(
-                    "snapshot frame in delta stream: a full-state transfer "
-                    "replaces the whole engine — route it through "
-                    "repro.serving.replication.ReplicaFollower (or "
-                    "TeamFormationEngine.from_snapshot_bytes)"
-                )
-            frame = self.apply_delta_payload(payload)
-            report["frames"] += 1
-            report["applied"] += frame["applied"]
-            report["skipped"] += frame["skipped"]
-            if frame["applied"]:
-                hints_incremental = (
-                    hints_incremental and frame["incremental_hint"]
-                )
-        report["reconciled"] = (
-            self.apply_updates()
-            if report["applied"] and hints_incremental
-            else None
-        )
-        return report
-
     def apply_delta_payload(self, payload: dict) -> dict:
         """Apply one verified delta-frame payload; returns what happened.
 
         ``payload`` is the parsed JSON object a delta frame carries
         (already structurally validated by
-        :func:`repro.storage.delta.iter_frames`).  Same idempotency,
-        gap and lineage semantics as :meth:`apply_delta_stream`, for a
-        single frame.
+        :func:`repro.storage.delta.iter_frames`).  Its enriched journal
+        records are applied through :meth:`mutate` — the write-locked
+        path local mutations take — so the network's version, journal
+        and state advance exactly as the primary's did, and the cached
+        indexes reconcile through the ordinary version-keyed path.
+
+        Replay is idempotent (a frame at or below the current version is
+        skipped whole) and gap-checked: a frame starting *past* the
+        current version raises
+        :class:`~repro.storage.errors.JournalTruncatedError`, the typed
+        signal to fall back to a full snapshot transfer.  A record that
+        contradicts this engine's own journal (same version, different
+        mutation) raises :class:`~repro.storage.errors.StaleSnapshotError`:
+        the two sides belong to different mutation lineages.
+        :class:`repro.serving.replication.ReplicaFollower` drives this
+        frame by frame.
+
+        Returns ``{"applied", "skipped", "incremental_hint"}``.
         """
         with obs.span("engine.delta_apply"):
             return self._apply_delta_payload(payload)

@@ -24,7 +24,7 @@ from ..core.exact import IntractableError
 from ..core.explain import explain_team
 from ..core.team import Team
 from ..expertise.skills import SkillCoverageError
-from ..graph.pll import pll_build_count
+from ..graph import pll_build_count
 from .messages import (
     MemberContributionPayload,
     ScoreBreakdown,

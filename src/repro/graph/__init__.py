@@ -23,7 +23,7 @@ from .dijkstra import (
     shortest_path,
     shortest_path_length,
 )
-from .distance import DijkstraOracle, DistanceOracle, build_oracle
+from .distance import DijkstraOracle, DistanceOracle, build_oracle, restore_oracle
 from .generators import (
     assign_random_weights,
     barabasi_albert,
@@ -71,6 +71,7 @@ __all__ = [
     "DistanceOracle",
     "DijkstraOracle",
     "build_oracle",
+    "restore_oracle",
     "PrunedLandmarkLabeling",
     "pll_build_count",
     "approximate_average_distance",

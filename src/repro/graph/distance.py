@@ -56,11 +56,13 @@ from .pll import (
     all_pairs_distances,
     distance_matrix_from_rows,
 )
+from .sharded_oracle import ShardedPLLOracle
 
 __all__ = [
     "DistanceOracle",
     "DijkstraOracle",
     "build_oracle",
+    "restore_oracle",
 ]
 
 
@@ -263,8 +265,6 @@ def build_oracle(
     with obs.span("oracle.build", **attrs):
         if kind == "pll":
             if shard_plan is not None:
-                from .sharded_oracle import ShardedPLLOracle
-
                 oracle: DistanceOracle = ShardedPLLOracle(graph, shard_plan)
             else:
                 oracle = PrunedLandmarkLabeling(graph)
@@ -273,3 +273,24 @@ def build_oracle(
     registry.counter(f"oracle_builds_{kind}").inc()
     registry.reservoir("oracle_build").observe(time.perf_counter() - start)
     return oracle
+
+
+def restore_oracle(
+    graph: Graph, states: Iterable[dict], *, shard_plan=None
+) -> DistanceOracle:
+    """A 2-hop cover adopted from its ``export_state`` label states — no build.
+
+    Picks the class as :func:`build_oracle` does: a
+    :class:`~repro.graph.sharded_oracle.ShardedPLLOracle` over
+    ``shard_plan`` (one state per shard), else one
+    :class:`PrunedLandmarkLabeling` (exactly one state).  States that do
+    not fit ``graph`` or the plan raise :class:`GraphError`.
+    """
+    if shard_plan is not None:
+        return ShardedPLLOracle.from_state(graph, shard_plan, states)
+    states = tuple(states)
+    if len(states) != 1:
+        raise GraphError(
+            f"a monolithic index has one label state, the entry has {len(states)}"
+        )
+    return PrunedLandmarkLabeling.from_flat_labels(graph, states[0])

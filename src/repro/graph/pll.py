@@ -792,6 +792,13 @@ class PrunedLandmarkLabeling:
             "incremental_updates": self.incremental_updates,
         }
 
+    def export_state(self) -> tuple[dict, ...]:
+        """The index as the label states a snapshot entry stores: its
+        one :meth:`export_flat_labels` state (a sharded index exports one
+        per shard; :func:`repro.graph.distance.restore_oracle` adopts
+        either)."""
+        return (self.export_flat_labels(),)
+
     @classmethod
     def from_flat_labels(
         cls, graph: Graph, state: dict

@@ -817,54 +817,33 @@ class ShardedPLLOracle:
     def total_label_entries(self) -> int:
         return sum(pll.total_label_entries for pll in self._shards)
 
-    def export_state(self) -> tuple[list[dict], dict]:
-        """``(per-shard flat label states, boundary summary document)``.
-
-        The label states are zero-copy
-        :meth:`PrunedLandmarkLabeling.export_flat_labels` exports; the
-        boundary document carries the boundary node list plus the raw
-        summary edges ``[i, j, weight]`` (the all-pairs matrix is
-        recomputed deterministically from them on load — a handful of
-        tiny Dijkstras, not a label build).
-        """
-        edges = [
-            [i, j, w]
-            for i, row in enumerate(self._summary_adj)
-            for j, w in sorted(row.items())
-        ]
-        boundary_doc = {"boundary": list(self.plan.boundary), "edges": edges}
-        return [pll.export_flat_labels() for pll in self._shards], boundary_doc
+    def export_state(self) -> tuple[dict, ...]:
+        """One :meth:`PrunedLandmarkLabeling.export_flat_labels` state per
+        shard, zero-copy.  The boundary summary is not exported:
+        :meth:`from_state` recomputes it from the labels."""
+        return tuple(pll.export_flat_labels() for pll in self._shards)
 
     @classmethod
     def from_state(
-        cls,
-        graph: Graph,
-        plan: ShardPlan,
-        shard_labels: Iterable[dict],
-        boundary_doc: dict,
+        cls, graph: Graph, plan: ShardPlan, states: Iterable[dict]
     ) -> "ShardedPLLOracle":
-        """Reassemble a sharded oracle from persisted state — zero builds.
+        """Reassemble a sharded oracle from :meth:`export_state` — zero builds.
 
         Each shard's labels are adopted via
         :meth:`PrunedLandmarkLabeling.from_flat_labels` (which validates
         the landmark order against the shard subgraph, so a plan/label
         mismatch surfaces as :class:`GraphError` rather than wrong
-        distances); ``pll_build_count`` is never bumped.  A summary edge
-        is ``[i, j, weight]``; the shard index that older snapshots
-        carry as a fourth field is ignored.
+        distances); ``pll_build_count`` is never bumped.  The boundary
+        summary is then built from the adopted labels exactly as a build
+        or an :meth:`apply` builds it.
         """
         self = cls.__new__(cls)
         self._init_topology(graph, plan)
-        states = list(shard_labels)
+        states = list(states)
         if len(states) != plan.num_shards:
             raise GraphError(
                 f"snapshot carries {len(states)} shard label sets for a "
                 f"{plan.num_shards}-shard plan"
-            )
-        boundary = boundary_doc.get("boundary")
-        if list(boundary or ()) != list(plan.boundary):
-            raise GraphError(
-                "snapshot boundary nodes disagree with the shard plan"
             )
         self._shards = []
         for i, (shard, state) in enumerate(zip(plan.shards, states)):
@@ -874,21 +853,7 @@ class ShardedPLLOracle:
             pll._obs_shard = i
             self._shards.append(pll)
         self._init_columns()
-        nb = len(plan.boundary)
-        adj: list[dict[int, float]] = [{} for _ in range(nb)]
-        try:
-            for edge in boundary_doc.get("edges", ()):
-                if len(edge) not in (3, 4):  # format 1 appends a shard index
-                    raise GraphError("boundary summary edge is not [i, j, w]")
-                i, j, w = int(edge[0]), int(edge[1]), float(edge[2])
-                if not (0 <= i < nb and 0 <= j < nb):
-                    raise GraphError("boundary summary edge out of range")
-                adj[i][j] = w
-        except (TypeError, ValueError) as exc:
-            raise GraphError(f"malformed boundary summary ({exc})") from None
-        self._summary_adj = adj
-        self._apsp()
-        self._boundary_pairs = [self._local_pairs(s) for s in range(len(states))]
+        self._build_boundary_summary()
         self._init_instruments()
         self._publish_label_bytes(range(plan.num_shards))
         return self

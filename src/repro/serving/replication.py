@@ -360,13 +360,14 @@ class ReplicaFollower:
     def apply(self, data: bytes) -> dict:
         """Advance the follower by one stream; returns what happened.
 
-        Mirrors :meth:`TeamFormationEngine.apply_delta_stream` —
-        idempotent replay, gap and lineage checks, one eager
-        :meth:`~repro.api.engine.TeamFormationEngine.apply_updates`
-        pass when every applied frame hinted incremental — plus
-        snapshot-frame handling: the engine is swapped for one loaded
-        from the shipped container, and subsequent delta frames in the
-        *same* stream continue from the new engine's version.
+        Each delta frame goes through
+        :meth:`~repro.api.engine.TeamFormationEngine.apply_delta_payload`
+        (idempotent replay, gap and lineage checks), followed by one
+        eager :meth:`~repro.api.engine.TeamFormationEngine.apply_updates`
+        pass when every applied frame hinted incremental.  A snapshot
+        frame swaps the engine for one loaded from the shipped
+        container, and subsequent delta frames in the *same* stream
+        continue from the new engine's version.
         """
         from .. import obs
         from ..api.engine import TeamFormationEngine

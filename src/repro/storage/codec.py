@@ -9,14 +9,13 @@ sections; this module defines what is *in* them for an engine snapshot:
   edge weights, h-indexes and scales are bit-preserved.
 * ``engine`` — JSON: the frozen normalization scales, default
   ``sa_mode`` / ``oracle_kind``, and one metadata record per persisted
-  oracle-cache entry (which cache, graph flavor, gamma, the network
-  version the entry is keyed at, and which label section holds it).
-* ``labels/<i>`` — one 2-hop-cover label store in a flat array layout
-  (for a *sharded* entry this section is replaced by one
-  ``labels/<i>/shard/<j>`` section per shard in the identical layout
-  plus a ``labels/<i>/boundary`` JSON section carrying the boundary
-  node list and raw summary edges; the entry record in ``engine`` lists
-  both, and pre-sharding snapshots load unchanged)::
+  oracle-cache entry (which cache, graph flavor, gamma, shard tag, the
+  network version the entry is keyed at, and the list of label
+  sections that hold it).
+* ``labels/<i>/<j>`` — label state ``j`` of entry ``i``: one 2-hop-cover
+  label store in a flat array layout.  A monolithic index has one
+  state, a sharded index one per shard; nothing else is persisted, as
+  the boundary summary is recomputed from the shards' labels on load::
 
       u32  node count N
       u32  length of the landmark-order JSON
@@ -30,7 +29,11 @@ sections; this module defines what is *in* them for an engine snapshot:
   Format 1 sections (:data:`~repro.storage.format.SNAPSHOT_FORMAT_VERSION`
   history) end with one more column, ``i32[T]`` parent ranks, which the
   decoder skips: a section whose columns span ``12 * T`` bytes is format
-  2, ``16 * T`` bytes format 1, and any other length is corrupt.
+  2 or 3, ``16 * T`` bytes format 1, and any other length is corrupt.
+  Format 1 and 2 entry records name their sections differently
+  (``section`` for a monolithic index, ``shard_sections`` plus a
+  ``boundary_section`` of summary edges for a sharded one); the decoder
+  reads both and ignores the boundary section.
 
   Arrays are little-endian on disk whatever the host byte order, packed
   with the stdlib :mod:`array`/:mod:`struct` modules — ``numpy`` is
@@ -202,20 +205,17 @@ class OracleEntryState:
 
     ``cache`` is ``"search"`` or ``"raw"`` (which engine cache it lives
     in); ``base`` is the engine's cache base key — ``(kind, "cc")``,
-    ``(kind, "fold", gamma)`` or ``(kind, "raw")``; ``version`` is the
-    network version the entry is keyed at; ``labels`` is
-    :meth:`PrunedLandmarkLabeling.export_flat_labels` output.
+    ``(kind, "fold", gamma)`` or ``(kind, "raw")``, plus the shard tag
+    when sharded; ``version`` is the network version the entry is keyed
+    at; ``labels`` is the index's ``export_state()``: one
+    :meth:`PrunedLandmarkLabeling.export_flat_labels` state, or one per
+    shard.
     """
 
     cache: str
     base: tuple
     version: int
-    labels: dict | None = None
-    #: Per-shard label states + boundary summary document for entries
-    #: holding a :class:`~repro.graph.sharded_oracle.ShardedPLLOracle`
-    #: (``labels`` is ``None`` for those; see ``export_state``).
-    shard_labels: tuple[dict, ...] | None = None
-    boundary: dict | None = None
+    labels: tuple[dict, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,25 +285,13 @@ def encode_engine_snapshot(
             "version": entry.version,
             **_base_to_meta(entry.base),
         }
-        if entry.shard_labels is not None:
-            # One label section per shard + the boundary summary, all
-            # listed in the entry record (and therefore the manifest)
-            # so loaders know the layout before touching any payload.
-            shard_sections = []
-            for j, shard_state in enumerate(entry.shard_labels):
-                name = f"labels/{i}/shard/{j}"
-                sections[name] = encode_flat_labels(shard_state)
-                shard_sections.append(name)
-            boundary_section = f"labels/{i}/boundary"
-            sections[boundary_section] = json.dumps(
-                entry.boundary or {}, sort_keys=True
-            ).encode("utf-8")
-            record["shard_sections"] = shard_sections
-            record["boundary_section"] = boundary_section
-        else:
-            section = f"labels/{i}"
-            sections[section] = encode_flat_labels(entry.labels)
-            record["section"] = section
+        # Every section is listed in the entry record (and therefore the
+        # manifest), so loaders know the layout before touching a payload.
+        record["label_sections"] = []
+        for j, labels in enumerate(entry.labels):
+            name = f"labels/{i}/{j}"
+            sections[name] = encode_flat_labels(labels)
+            record["label_sections"].append(name)
         entry_meta.append(record)
     engine_doc: dict[str, Any] = {
         "edge_scale": state.edge_scale,
@@ -361,6 +349,20 @@ def _json_section(sections: dict[str, bytes], name: str) -> Any:
         ) from None
 
 
+def _label_sections(record: dict[str, Any]) -> list[str]:
+    """An entry record's label sections, in any format.
+
+    Format 3 lists them in ``label_sections``; formats 1 and 2 name one
+    ``section``, or for a sharded index ``shard_sections`` (its
+    ``boundary_section`` is ignored: the summary is rebuilt from labels).
+    """
+    if "label_sections" in record:
+        return record["label_sections"]
+    if "shard_sections" in record:
+        return record["shard_sections"]
+    return [record["section"]]
+
+
 def decode_engine_snapshot(
     meta: dict[str, Any], sections: dict[str, bytes]
 ) -> EngineSnapshotState:
@@ -377,34 +379,17 @@ def decode_engine_snapshot(
     entries = []
     try:
         for record in engine["entries"]:
-            if "shard_sections" in record:
-                shard_labels = tuple(
-                    decode_labels_flat(sections[name])
-                    for name in record["shard_sections"]
+            entries.append(
+                OracleEntryState(
+                    cache=record["cache"],
+                    base=_base_from_meta(record),
+                    version=int(record["version"]),
+                    labels=tuple(
+                        decode_labels_flat(sections[name])
+                        for name in _label_sections(record)
+                    ),
                 )
-                boundary = _json_section(sections, record["boundary_section"])
-                if not isinstance(boundary, dict):
-                    raise CorruptSnapshotError(
-                        "boundary summary section is not a JSON object"
-                    )
-                entries.append(
-                    OracleEntryState(
-                        cache=record["cache"],
-                        base=_base_from_meta(record),
-                        version=int(record["version"]),
-                        shard_labels=shard_labels,
-                        boundary=boundary,
-                    )
-                )
-            else:
-                entries.append(
-                    OracleEntryState(
-                        cache=record["cache"],
-                        base=_base_from_meta(record),
-                        version=int(record["version"]),
-                        labels=decode_labels_flat(sections[record["section"]]),
-                    )
-                )
+            )
         shards = engine.get("shards")
         state = EngineSnapshotState(
             network=network,

@@ -61,7 +61,11 @@ SNAPSHOT_MAGIC = b"RPROSNAP"
 #: 2 — label sections drop the i32 parent-rank column; format-1 label
 #:     sections still load (:func:`repro.storage.codec.decode_labels_flat`
 #:     tells the layouts apart by length).
-SNAPSHOT_FORMAT_VERSION = 2
+#: 3 — an oracle entry is only its label sections, listed in one
+#:     ``label_sections`` record; a sharded entry drops its boundary
+#:     summary section (rebuilt from the shard labels on load).  Format-1
+#:     and format-2 records still load; their boundary section is ignored.
+SNAPSHOT_FORMAT_VERSION = 3
 
 _HEADER = struct.Struct("<8sHHII")
 

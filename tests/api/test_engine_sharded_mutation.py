@@ -36,6 +36,7 @@ from repro.expertise import Expert, ExpertNetwork
 from repro.graph.pll import pll_build_count
 from repro.graph.pll_kernel import numpy_available
 from repro.serving.server import TeamServer, fixed_engine_loader
+from repro.storage import SNAPSHOT_FORMAT_VERSION, decode_container
 
 #: Three 4-cycles chained at the cut vertices n3 and n6, plus a pendant
 #: component p0-p1.  Chords stay inside a block (so inside a shard);
@@ -507,6 +508,83 @@ def test_in_shard_burst_patches_the_next_reads(tmp_path):
     loaded = TeamFormationEngine.from_snapshot(path)
     assert answers(loaded) == answers(mono)
     assert pll_build_count() == builds, "restore must not build any PLL"
+
+
+# ----------------------------------------------------------------------
+# snapshots carry labels only
+# ----------------------------------------------------------------------
+def assert_same_labels(restored, live) -> None:
+    """Every shard's exported label state is byte-equal."""
+    pairs = list(zip(restored.export_state(), live.export_state(), strict=True))
+    assert len(pairs) == live.num_shards
+    for got, want in pairs:
+        for key in ("order", "counts", "incremental_updates"):
+            assert got[key] == want[key], key
+        for column in ("ranks", "dists"):
+            assert got[column].tobytes() == want[column].tobytes(), column
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    k=st.sampled_from((2, 4)),
+    bursts=st.lists(
+        st.lists(
+            st.tuples(st.sampled_from(("chord", "halve")), st.integers(0, 63)),
+            min_size=1,
+            max_size=3,
+        ),
+        max_size=3,
+    ),
+)
+def test_snapshot_round_trip_restores_labels_summary_and_distances(seed, k, bursts):
+    """Save then load rebuilds the boundary summary from the labels alone."""
+    computed = obs.global_registry().counter("engine_shard_plans_computed")
+    script = Script(seed)
+    engine = TeamFormationEngine(script.network(), scales=SCALES, shards=k)
+    answers(engine)
+    for abstract in bursts:  # insertions and halvings, replayed per shard
+        ops = [op for kind, pick in abstract for op in script.concrete(kind, pick)]
+        with engine.mutate() as network:
+            apply(network, ops)
+        engine.apply_updates()
+    blob = engine.snapshot_bytes()
+    assert int.from_bytes(blob[8:10], "little") == SNAPSHOT_FORMAT_VERSION == 3
+    _, sections = decode_container(blob)
+    assert sections and not [name for name in sections if "boundary" in name]
+
+    before, builds = computed.value, pll_build_count()
+    loaded = TeamFormationEngine.from_snapshot_bytes(blob)
+    restored, live = indexes(loaded), indexes(engine)
+    # One plan across the restore and the first reads of both flavors.
+    assert computed.value - before == 1
+    assert pll_build_count() == builds
+    nodes = sorted(engine.network.expert_ids())
+    for flavor, oracle in restored.items():
+        assert_same_labels(oracle, live[flavor])
+        assert oracle._summary_adj == live[flavor]._summary_adj, flavor
+        assert oracle._B == live[flavor]._B, flavor
+        if numpy_available():
+            got = oracle.distance_matrix(nodes, nodes).tobytes()
+            assert got == live[flavor].distance_matrix(nodes, nodes).tobytes()
+        else:
+            for u in nodes:
+                got = oracle.distances_from(u, nodes)
+                assert got == live[flavor].distances_from(u, nodes), (flavor, u)
+    assert answers(loaded) == answers(engine)
+    assert pll_build_count() == builds
+
+
+@pytest.mark.parametrize("k", (2, 4))
+def test_restore_plans_once_and_first_reads_never(plan_calls, tmp_path, k):
+    engine = TeamFormationEngine(Script(3).network(), scales=SCALES, shards=k)
+    expected = answers(engine)
+    path = engine.save_snapshot(tmp_path / "one.snap")
+    plan_calls.clear()
+    loaded = TeamFormationEngine.from_snapshot(path)
+    assert plan_calls == [k]
+    assert answers(loaded) == expected
+    indexes(loaded)
+    assert plan_calls == [k], "reads at the snapshot's version must not re-plan"
 
 
 # ----------------------------------------------------------------------

@@ -291,12 +291,13 @@ def test_state_round_trip_zero_builds():
     rng = random.Random(3)
     g = dyadic_random_graph(rng, n=26, p=0.1)
     sharded = ShardedPLLOracle(g, shards=4)
-    shard_labels, boundary = sharded.export_state()
+    states = sharded.export_state()
     before = pll_build_count()
-    restored = ShardedPLLOracle.from_state(
-        g, sharded.plan, shard_labels, boundary
-    )
+    restored = ShardedPLLOracle.from_state(g, sharded.plan, states)
     assert pll_build_count() == before  # zero PLL constructions
+    # The boundary summary is rebuilt from the labels alone.
+    assert restored._summary_adj == sharded._summary_adj
+    assert restored._B == sharded._B
     nodes = list(g.nodes())
     for u in nodes[::2]:
         assert restored.distances_from(u, nodes) == sharded.distances_from(
@@ -307,12 +308,12 @@ def test_state_round_trip_zero_builds():
 def test_from_state_rejects_mismatched_shapes():
     g = Graph.from_edges([("a", "b"), ("c", "d")])
     sharded = ShardedPLLOracle(g, shards=2)
-    shard_labels, boundary = sharded.export_state()
+    states = sharded.export_state()
     with pytest.raises(GraphError):
-        ShardedPLLOracle.from_state(g, sharded.plan, shard_labels[:1], boundary)
-    bad = dict(boundary, boundary=["a", "ghost-extra"])
+        ShardedPLLOracle.from_state(g, sharded.plan, states[:1])
+    # Labels of another plan: each shard's landmark order is checked.
     with pytest.raises(GraphError):
-        ShardedPLLOracle.from_state(g, sharded.plan, shard_labels, bad)
+        ShardedPLLOracle.from_state(g, sharded.plan, states[::-1])
 
 
 def test_clone_refuses_a_different_node_set():
@@ -472,10 +473,10 @@ def test_vector_memo_matches_the_dict_memo(seed, blocks, k, bursts):
         g = vec._graph
         assert_same_answers(vec, ref, nodes)
     assert_exact(vec, g)
-    labels, doc = vec.export_state()
-    restored = ShardedPLLOracle.from_state(g, vec.plan, labels, doc)
+    states = vec.export_state()
+    restored = ShardedPLLOracle.from_state(g, vec.plan, states)
     with numpy_hidden():
-        restored_ref = ShardedPLLOracle.from_state(g, vec.plan, labels, doc)
+        restored_ref = ShardedPLLOracle.from_state(g, vec.plan, states)
     assert_same_answers(restored, restored_ref, nodes)
     live = vec.distance_matrix(nodes, nodes)
     assert restored.distance_matrix(nodes, nodes).tobytes() == live.tobytes()

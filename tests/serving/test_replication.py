@@ -169,7 +169,7 @@ def test_gap_in_the_stream_is_a_truncation_error():
         network.update_h_index("liu", 43)
     late = log.delta_since(primary.network.version - 1)
     with pytest.raises(JournalTruncatedError):
-        follower.engine.apply_delta_stream(late)
+        follower.apply(late)
 
 
 def test_diverged_follower_journal_mismatch_is_a_lineage_error():
@@ -185,7 +185,7 @@ def test_diverged_follower_journal_mismatch_is_a_lineage_error():
     with primary.mutate() as network:
         network.add_collaboration("liu", "han", weight=0.5)
     with pytest.raises(StaleSnapshotError, match="lineage"):
-        diverged.apply_delta_stream(log.delta_since(0))
+        ReplicaFollower(diverged).apply(log.delta_since(0))
 
 
 def test_impossible_replicated_mutation_is_a_lineage_error():
@@ -199,7 +199,7 @@ def test_impossible_replicated_mutation_is_a_lineage_error():
     with primary.mutate() as network:
         network.update_h_index("bridge", 2)
     with pytest.raises(StaleSnapshotError, match="lineage"):
-        diverged.apply_delta_stream(log.delta_since(0))
+        ReplicaFollower(diverged).apply(log.delta_since(0))
 
 
 def test_non_contiguous_records_are_corrupt():
@@ -228,12 +228,6 @@ def test_snapshot_frame_replaces_the_follower_engine():
     assert canonical(follower.engine.solve(GREEDY)) == canonical(
         primary.solve(GREEDY)
     )
-
-
-def test_engine_refuses_snapshot_frames_in_delta_streams():
-    primary, log, follower = make_pair()
-    with pytest.raises(ValueError, match="ReplicaFollower"):
-        follower.engine.apply_delta_stream(log.snapshot_frame())
 
 
 # ----------------------------------------------------------------------
